@@ -36,3 +36,4 @@ fuzz:
 	go test ./internal/query/ -run '^$$' -fuzz '^FuzzFilterCompileMatch$$' -fuzztime 60s
 	go test ./internal/query/ -run '^$$' -fuzz '^FuzzUpdateApply$$' -fuzztime 60s
 	go test ./internal/document/ -run '^$$' -fuzz '^FuzzDocumentPath$$' -fuzztime 60s
+	go test ./internal/document/ -run '^$$' -fuzz '^FuzzDocumentJSON$$' -fuzztime 60s

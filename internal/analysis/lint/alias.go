@@ -5,28 +5,29 @@ import (
 	"go/types"
 )
 
-// DocAliasing guards the no-mutation-after-read invariant. The
-// datastore, the query engine, and the wire codecs hand out
-// document.D values that may alias live store state (and the read path
-// is free to drop its defensive copies only while this holds): a
-// document obtained from a read must not be written through — index
-// assignment, delete, or a mutating document method — unless the
-// variable was first rebound through Copy()/NormalizeDoc.
+// DocAliasing guards the read contract: the datastore, the query engine
+// and the cluster router hand out read results as shared, read-only
+// snapshots — the stored documents themselves, or result-cache entries
+// other callers also hold — with no defensive copy. A document obtained
+// from a read must not be written through — index assignment, delete,
+// or a mutating document method — unless the variable was first rebound
+// through Copy()/NormalizeDoc.
 //
 // The tracking is flow-ordered and per-function: read results taint
 // their variables, range/index/GetDoc propagate taint, and any
 // rebinding (including the sanctioned `d = d.Copy()`) clears it.
 var DocAliasing = &Analyzer{
 	Name: "docaliasing",
-	Doc:  "documents returned by datastore/queryengine reads must be Copy()d before mutation",
+	Doc:  "documents returned by datastore/queryengine/cluster reads must be Copy()d before mutation",
 	Run:  runDocAliasing,
 }
 
-// readMethodNames are the datastore/queryengine entry points that hand
-// documents out.
+// readMethodNames are the datastore/queryengine/cluster entry points
+// that hand documents out (Get is the router's by-id read).
 var readMethodNames = map[string]bool{
 	"Find": true, "FindAll": true, "FindOne": true, "FindID": true,
 	"FindAndModify": true, "All": true, "Next": true, "Aggregate": true,
+	"Get": true,
 }
 
 // mutatingDocMethods write through the receiver in place.
@@ -43,6 +44,7 @@ func runDocAliasing(p *Pass) {
 	readPkgs := map[string]bool{
 		p.Cfg.ModulePath + "/internal/datastore":   true,
 		p.Cfg.ModulePath + "/internal/queryengine": true,
+		p.Cfg.ModulePath + "/internal/cluster":     true,
 	}
 	funcBodies(p.Pkg, func(decl *ast.FuncDecl, _ *ast.File) {
 		s := &aliasState{p: p, docPkg: docPkg, readPkgs: readPkgs, tainted: map[types.Object]bool{}}
@@ -164,7 +166,7 @@ func (s *aliasState) checkMutationLHS(a *ast.AssignStmt) {
 		}
 		if obj := s.taintedRoot(idx.X); obj != nil {
 			s.p.Reportf(lhs.Pos(),
-				"%s aliases a document returned by a datastore/queryengine read; Copy() it before assigning into it", obj.Name())
+				"%s aliases a document returned by a datastore/queryengine/cluster read; Copy() it before assigning into it", obj.Name())
 		}
 	}
 }
@@ -307,8 +309,8 @@ func (s *aliasState) sanitizes(e ast.Expr) bool {
 	return found
 }
 
-// isReadCall reports whether e is a call to a datastore/queryengine
-// read returning documents.
+// isReadCall reports whether e is a call to a datastore/queryengine/
+// cluster read returning documents.
 func (s *aliasState) isReadCall(e ast.Expr) bool {
 	c, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

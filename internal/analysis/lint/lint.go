@@ -136,7 +136,7 @@ func DefaultConfig(modulePath string) *Config {
 		ClockAllow: []string{"internal/obs", "internal/vclock", "cmd", "examples"},
 		RandScope:  []string{"internal"},
 		FsyncScope: []string{"internal"},
-		AliasScope: []string{"internal"},
+		AliasScope: []string{"internal", "cmd", "examples"},
 		LockScope:  []string{"internal/datastore", "internal/cluster", "internal/fireworks"},
 		WrapScope:  []string{"internal/cluster", "internal/restapi"},
 		// The interprocedural suite covers all of internal/; the

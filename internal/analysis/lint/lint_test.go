@@ -168,6 +168,16 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
+// TestAliasScopeCoversCmdAndExamples mounts the docaliasing fixture in
+// cmd/ and examples/: command mains and examples read through the same
+// shared-snapshot API, so every finding must appear there too.
+func TestAliasScopeCoversCmdAndExamples(t *testing.T) {
+	l := newLoader(t)
+	for _, asPath := range []string{"matproj/cmd/lintfixture", "matproj/examples/lintfixture"} {
+		checkGolden(t, "docaliasing", runFixture(t, l, "docaliasing", asPath, "docaliasing"))
+	}
+}
+
 // TestClockAllowlist mounts the clockdiscipline fixture inside
 // internal/obs, which is allowlisted: every finding must vanish.
 func TestClockAllowlist(t *testing.T) {

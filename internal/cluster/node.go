@@ -148,10 +148,28 @@ func isBadRequest(err error) bool {
 	return errors.As(err, &br)
 }
 
+// codecResponse is a response that encodes itself through the document
+// codec (the result-set and single-document responses).
+type codecResponse interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// writeJSON encodes a response in full before sending it, so an encode
+// failure leaves the reply unwritten and serve can still answer 500.
 func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	var body []byte
+	var err error
+	if c, ok := v.(codecResponse); ok {
+		body, err = c.AppendJSON(nil)
+	} else if body, err = json.Marshal(v); err == nil {
+		body = append(body, '\n')
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: encode response: %w", err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(body); err != nil {
+		return fmt.Errorf("cluster: write response: %w", err)
 	}
 	return nil
 }
@@ -205,7 +223,7 @@ func (n *Node) handleFind(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("cluster: find %s: %w", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocsResponse{Docs: wire.FromDocs(docs)})
+	return writeJSON(w, wire.NewDocsResponse(docs))
 }
 
 func (n *Node) handleCount(w http.ResponseWriter, r *http.Request) error {
@@ -229,7 +247,7 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("cluster: get %s/%s: %w", req.Collection, req.ID, err)
 	}
-	return writeJSON(w, wire.DocResponse{Doc: map[string]any(d)})
+	return writeJSON(w, wire.DocResponse{Doc: d})
 }
 
 func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) error {
@@ -272,7 +290,7 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("cluster: aggregate %s: %w", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocsResponse{Docs: wire.FromDocs(docs)})
+	return writeJSON(w, wire.NewDocsResponse(docs))
 }
 
 func (n *Node) handleDistinct(w http.ResponseWriter, r *http.Request) error {
@@ -300,7 +318,7 @@ func (n *Node) handleMapReduce(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("cluster: mapreduce %s: %w", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocsResponse{Docs: wire.FromDocs(docs)})
+	return writeJSON(w, wire.NewDocsResponse(docs))
 }
 
 func (n *Node) handleEnsureIndex(w http.ResponseWriter, r *http.Request) error {
@@ -325,7 +343,7 @@ func (n *Node) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest("cluster: explain %s: %v", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocResponse{Doc: map[string]any(plan)})
+	return writeJSON(w, wire.DocResponse{Doc: plan})
 }
 
 func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {

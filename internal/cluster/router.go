@@ -601,20 +601,6 @@ func (r *Router) groupRead(cached bool, collection string, gi int, op string, re
 	return v, err
 }
 
-// copyRoutedDocs deep-copies documents leaving the cache so callers can
-// retain and mutate them freely; uncached reads return fresh data and
-// skip the copy.
-func copyRoutedDocs(docs []document.D, cached bool) []document.D {
-	if !cached {
-		return docs
-	}
-	out := make([]document.D, len(docs))
-	for i, d := range docs {
-		out[i] = d.Copy()
-	}
-	return out
-}
-
 // ---- Write path -----------------------------------------------------
 
 // Insert routes a document to its shard group and replicates it to every
@@ -622,7 +608,7 @@ func copyRoutedDocs(docs []document.D, cached bool) []document.D {
 // so all members store an identical document. The write succeeds when at
 // least one member accepts it; members that fail are marked down.
 func (r *Router) Insert(collection string, doc document.D) (string, error) {
-	d := document.NormalizeDoc(doc).Copy()
+	d := document.NormalizeDoc(doc)
 	var gi int
 	if r.shardKey == "_id" {
 		id, has := d["_id"].(string)
@@ -753,7 +739,7 @@ func (r *Router) explain(collection string, filter document.D, opts *datastore.F
 		if err := r.readOnGroup(gi, wire.PathExplain, req, &resp); err != nil {
 			return err
 		}
-		plan := wire.NormalizeMap(resp.Doc)
+		plan := resp.Doc
 		plan["shard"] = int64(gi)
 		for slot, t := range targets {
 			if t == gi {
@@ -873,6 +859,11 @@ func (r *Router) updateOne(collection string, filter, update document.D) (datast
 // findAll scatter-gathers a filtered read and applies the global
 // merge-sort/skip/limit, matching internal/shard semantics exactly.
 // Per-group responses are served through the result cache.
+//
+// Read contract (shared by Get, count, distinct and aggregate): results
+// are shared, read-only snapshots. A cached result is handed to every
+// caller that hits it, so neither the returned slice nor the documents
+// in it may be mutated; Copy() a document first.
 func (r *Router) findAll(collection string, filter document.D, opts *datastore.FindOpts) ([]document.D, error) {
 	return r.findAllCached(collection, filter, opts, true)
 }
@@ -904,12 +895,12 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 			if err := r.readOnGroupStale(gi, wire.PathFind, req, &resp, maxStale); err != nil {
 				return nil, err
 			}
-			return resp.NormalizedDocs(), nil
+			return resp.Docs, nil
 		})
 		if err != nil {
 			return err
 		}
-		docs := copyRoutedDocs(v.([]document.D), cached)
+		docs := v.([]document.D)
 		for slot, t := range targets {
 			if t == gi {
 				results[slot] = docs
@@ -938,7 +929,7 @@ func (r *Router) Get(collection, id string) (document.D, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wire.NormalizeMap(resp.Doc), nil
+		return resp.Doc, nil
 	}
 	docs, err := r.findAll(collection, document.D{"_id": id}, &datastore.FindOpts{Limit: 1})
 	if err != nil {
@@ -992,20 +983,12 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 			if err := r.readOnGroup(gi, wire.PathDistinct, req, &resp); err != nil {
 				return nil, err
 			}
-			vals := make([]any, len(resp.Values))
-			for i, rv := range resp.Values {
-				vals[i] = document.Normalize(rv)
-			}
-			return vals, nil
+			return resp.Values, nil
 		})
 		if err != nil {
 			return err
 		}
-		cached := v.([]any)
-		vals := make([]any, len(cached))
-		for i, cv := range cached {
-			vals[i] = document.CopyValue(cv)
-		}
+		vals := v.([]any)
 		for slot, t := range targets {
 			if t == gi {
 				lists[slot] = vals
@@ -1051,7 +1034,7 @@ func (r *Router) aggregate(collection string, pipeline []document.D) ([]document
 		if err := r.readOnGroup(targets[0], wire.PathAggregate, req, &resp); err != nil {
 			return nil, err
 		}
-		return resp.NormalizedDocs(), nil
+		return resp.Docs, nil
 	}
 	docs, err := r.findAll(collection, matchFilter, nil)
 	if err != nil {
@@ -1081,7 +1064,7 @@ func (r *Router) MapReduce(collection, jobName string, filter document.D) ([]doc
 		}
 		for slot, t := range targets {
 			if t == gi {
-				partials[slot] = resp.NormalizedDocs()
+				partials[slot] = resp.Docs
 			}
 		}
 		return nil

@@ -6,16 +6,20 @@
 // anatomy stays a router-only concern and nodes remain dumb storage.
 //
 // Number fidelity matters on this boundary: documents round-trip through
-// JSON, so decoding always goes through json.Number + document.Normalize
-// (integral values become int64, the rest float64) — the same
-// canonicalization the datastore applies on insert.
+// JSON, so decoding always canonicalizes numbers (integral values become
+// int64, the rest float64) — the same canonicalization the datastore
+// applies on insert. Responses that carry documents (DocsResponse,
+// DocResponse, DistinctResponse) travel through the document codec in
+// both directions, which encodes the bytes encoding/json would and
+// decodes straight into normalized trees; the small control messages use
+// encoding/json with json.Number + document.Normalize.
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
@@ -218,27 +222,71 @@ type FindRequest struct {
 	Opts       *FindOpts      `json:"opts,omitempty"`
 }
 
-// DocsResponse carries a result set.
+// DocsResponse carries a result set. Decoded documents are normalized
+// and shared read-only: callers Copy() before they mutate.
 type DocsResponse struct {
-	Docs []map[string]any `json:"docs"`
+	Docs []document.D `json:"docs"`
 }
 
-// NormalizedDocs converts the raw rows to canonical documents.
-func (r *DocsResponse) NormalizedDocs() []document.D {
-	out := make([]document.D, len(r.Docs))
-	for i, d := range r.Docs {
-		out[i] = document.NormalizeDoc(document.D(d))
+// NewDocsResponse wraps a result set for the wire. A nil set goes out as
+// [] rather than null.
+func NewDocsResponse(docs []document.D) DocsResponse {
+	if docs == nil {
+		docs = []document.D{}
 	}
-	return out
+	return DocsResponse{Docs: docs}
 }
 
-// FromDocs converts documents to wire rows.
-func FromDocs(docs []document.D) []map[string]any {
-	out := make([]map[string]any, len(docs))
-	for i, d := range docs {
-		out[i] = map[string]any(d)
+// AppendJSON appends the response's JSON encoding through the document
+// codec (the bytes encoding/json would produce).
+func (r DocsResponse) AppendJSON(dst []byte) ([]byte, error) {
+	return appendField(dst, "docs", r.Docs, false)
+}
+
+func (r *DocsResponse) decodeJSON(b []byte) error {
+	v, err := decodeField(b, "docs")
+	if err != nil || v == nil {
+		return err
 	}
-	return out
+	rows, ok := v.([]any)
+	if !ok {
+		return fmt.Errorf("wire: decode: docs is %T, not an array", v)
+	}
+	r.Docs = make([]document.D, len(rows))
+	for i, row := range rows {
+		d, ok := row.(map[string]any)
+		if !ok {
+			return fmt.Errorf("wire: decode: docs[%d] is %T, not an object", i, row)
+		}
+		r.Docs[i] = d
+	}
+	return nil
+}
+
+// appendField writes {"<name>":<v>} plus the newline json.Encoder adds;
+// omitEmpty leaves an empty document out, as the omitempty tag does.
+func appendField(dst []byte, name string, v any, omitEmpty bool) ([]byte, error) {
+	dst = append(dst, '{')
+	if d, isDoc := v.(document.D); !omitEmpty || !isDoc || len(d) > 0 {
+		dst = append(dst, '"')
+		dst = append(dst, name...)
+		dst = append(dst, `":`...)
+		var err error
+		if dst, err = document.AppendJSON(dst, v); err != nil {
+			return nil, fmt.Errorf("wire: encode %s: %w", name, err)
+		}
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// decodeField parses a one-field response object and returns that
+// field's value (nil when absent).
+func decodeField(b []byte, name string) (any, error) {
+	top, err := document.FromJSON(b)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	return top[name], nil
 }
 
 // CountRequest counts matching documents.
@@ -262,7 +310,26 @@ type GetRequest struct {
 
 // DocResponse carries one document (empty Doc = not found, with HTTP 404).
 type DocResponse struct {
-	Doc map[string]any `json:"doc,omitempty"`
+	Doc document.D `json:"doc,omitempty"`
+}
+
+// AppendJSON appends the response's JSON encoding through the document
+// codec.
+func (r DocResponse) AppendJSON(dst []byte) ([]byte, error) {
+	return appendField(dst, "doc", r.Doc, true)
+}
+
+func (r *DocResponse) decodeJSON(b []byte) error {
+	v, err := decodeField(b, "doc")
+	if err != nil || v == nil {
+		return err
+	}
+	d, ok := v.(map[string]any)
+	if !ok {
+		return fmt.Errorf("wire: decode: doc is %T, not an object", v)
+	}
+	r.Doc = d
+	return nil
 }
 
 // UpdateRequest applies an update on a node.
@@ -303,6 +370,25 @@ type DistinctRequest struct {
 // DistinctResponse carries the distinct values.
 type DistinctResponse struct {
 	Values []any `json:"values"`
+}
+
+// AppendJSON appends the response's JSON encoding through the document
+// codec.
+func (r DistinctResponse) AppendJSON(dst []byte) ([]byte, error) {
+	return appendField(dst, "values", r.Values, false)
+}
+
+func (r *DistinctResponse) decodeJSON(b []byte) error {
+	v, err := decodeField(b, "values")
+	if err != nil || v == nil {
+		return err
+	}
+	vals, ok := v.([]any)
+	if !ok {
+		return fmt.Errorf("wire: decode: values is %T, not an array", v)
+	}
+	r.Values = vals
+	return nil
 }
 
 // MapReduceRequest runs a registered named MapReduce job on a node's
@@ -372,9 +458,19 @@ func DecodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// DecodeJSONBytes is DecodeJSON over a byte slice.
+// codecDecoder is implemented by the document-carrying responses, which
+// decode through the document codec into already-normalized documents.
+type codecDecoder interface {
+	decodeJSON(b []byte) error
+}
+
+// DecodeJSONBytes is DecodeJSON over a byte slice; document-carrying
+// responses take the document codec instead.
 func DecodeJSONBytes(b []byte, v any) error {
-	return DecodeJSON(strings.NewReader(string(b)), v)
+	if c, ok := v.(codecDecoder); ok {
+		return c.decodeJSON(b)
+	}
+	return DecodeJSON(bytes.NewReader(b), v)
 }
 
 // NormalizeMap canonicalizes a decoded wire map into a document.

@@ -391,7 +391,9 @@ func (a *groupAccumulator) add(d document.D) error {
 func (a *groupAccumulator) result() any {
 	switch a.op {
 	case "$sum":
-		if a.sum == math.Trunc(a.sum) {
+		// Integral sums become int64 only when they fit exactly: ±Inf
+		// and magnitudes of 2^63 or more stay float64.
+		if a.sum == math.Trunc(a.sum) && a.sum >= -0x1p63 && a.sum < 0x1p63 {
 			return int64(a.sum)
 		}
 		return a.sum

@@ -330,3 +330,32 @@ func TestQuickMatchThenCountAgreesWithCount(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAggregateSumOverflowStaysFloat: an integral $sum converts to int64
+// only when it fits exactly. Two 1e308 values overflow to +Inf, which
+// used to come back as int64 min; 2^62 + 2^62 = 2^63 does not fit either.
+func TestAggregateSumOverflowStaysFloat(t *testing.T) {
+	cases := []struct {
+		xs   []any
+		want any
+	}{
+		{[]any{1e308, 1e308}, math.Inf(1)},
+		{[]any{-1e308, -1e308}, math.Inf(-1)},
+		{[]any{float64(1 << 62), float64(1 << 62)}, 0x1p63},
+		{[]any{-0x1p62, -0x1p62}, int64(math.MinInt64)},
+		{[]any{int64(2), int64(3)}, int64(5)},
+	}
+	for _, tc := range cases {
+		var docs []document.D
+		for _, x := range tc.xs {
+			docs = append(docs, document.D{"x": x})
+		}
+		out, err := RunPipeline(docs, []document.D{{"$group": map[string]any{"_id": nil, "s": map[string]any{"$sum": "$x"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0]["s"]; got != tc.want {
+			t.Errorf("$sum of %v = %v (%T), want %v (%T)", tc.xs, got, got, tc.want, tc.want)
+		}
+	}
+}

@@ -104,7 +104,7 @@ func (c *Collection) BulkWrite(ops []BulkOp) (BulkResult, error) {
 			for _, id := range c.scanLocked(co.flt) {
 				r.Matched++
 				cur := c.docs[id]
-				next, err := co.upd.Apply(cur.Copy())
+				next, err := applyUpdate(co.upd, cur)
 				if err != nil {
 					r.Error = err.Error()
 					break
@@ -151,7 +151,11 @@ func (c *Collection) compileBulkOp(op BulkOp) bulkCompiled {
 	co := bulkCompiled{op: op.Op}
 	switch op.Op {
 	case BulkInsert:
-		d := document.NormalizeDoc(op.Doc).Copy()
+		d := document.NormalizeDoc(op.Doc)
+		if err := document.CheckFinite(d); err != nil {
+			co.err = err
+			return co
+		}
 		id, hasID := d["_id"].(string)
 		if !hasID {
 			if raw, ok := d["_id"]; ok {

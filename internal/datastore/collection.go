@@ -125,11 +125,15 @@ func (c *Collection) Stats() CollStats {
 }
 
 // Insert stores a document. If it has no "_id", one is assigned; the
-// (possibly new) id is returned. The stored document is a deep copy: the
-// caller's document is never aliased.
+// (possibly new) id is returned. The stored document is a normalized
+// copy: the caller's document is never aliased. A document holding NaN
+// or ±Inf is refused (it has no JSON form to journal).
 func (c *Collection) Insert(doc document.D) (string, error) {
 	start := time.Now()
-	d := document.NormalizeDoc(doc).Copy()
+	d := document.NormalizeDoc(doc)
+	if err := document.CheckFinite(d); err != nil {
+		return "", err
+	}
 	id, hasID := d["_id"].(string)
 	if !hasID {
 		if raw, ok := d["_id"]; ok {
@@ -166,7 +170,10 @@ func (c *Collection) InsertMany(docs []document.D) ([]string, error) {
 	ids := make([]string, len(docs))
 	seen := make(map[string]struct{}, len(docs))
 	for i, doc := range docs {
-		d := document.NormalizeDoc(doc).Copy()
+		d := document.NormalizeDoc(doc)
+		if err := document.CheckFinite(d); err != nil {
+			return nil, err
+		}
 		id, hasID := d["_id"].(string)
 		if !hasID {
 			if raw, ok := d["_id"]; ok {
@@ -279,8 +286,15 @@ type FindOpts struct {
 	Hint string
 }
 
-// Find returns a cursor over documents matching filter. The cursor holds
-// deep copies; iterating never observes later writes.
+// Find returns a cursor over documents matching filter.
+//
+// Read contract: results are shared, read-only snapshots. Without a
+// projection the cursor hands out the stored documents themselves. That
+// is safe because stored documents are copy-on-write: every write
+// replaces the stored tree with a new one (updates apply to a Copy()),
+// never edits it in place. So a result never observes a later write.
+// Callers that want to mutate a result must Copy() it first (mplint's
+// docaliasing analyzer enforces this).
 func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
 	start := time.Now()
 	flt, err := query.Compile(filter)
@@ -397,17 +411,16 @@ func (c *Collection) FindOne(filter document.D, opts *FindOpts) (document.D, err
 	return docs[0], nil
 }
 
-// FindID fetches a document by _id directly.
+// FindID fetches a document by _id directly. The result is a shared
+// read-only snapshot (see Find).
 func (c *Collection) FindID(id string) (document.D, error) {
 	c.mu.RLock()
 	d, ok := c.docs[id]
+	c.mu.RUnlock()
 	if !ok {
-		c.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	out := d.Copy()
-	c.mu.RUnlock()
-	return out, nil
+	return d, nil
 }
 
 // Count returns the number of documents matching filter.
@@ -465,6 +478,21 @@ func (c *Collection) Distinct(path string, filter document.D) ([]any, error) {
 	return vals, nil
 }
 
+// applyUpdate runs a compiled update on a copy of cur (stored documents
+// are copy-on-write) and refuses a result holding NaN or ±Inf, before it
+// is applied: such a document has no JSON form, so it could be neither
+// journaled nor served.
+func applyUpdate(upd *query.Update, cur document.D) (document.D, error) {
+	next, err := upd.Apply(cur.Copy())
+	if err != nil {
+		return nil, err
+	}
+	if err := document.CheckFinite(next); err != nil {
+		return nil, err
+	}
+	return next, nil
+}
+
 // UpdateResult reports what an update did.
 type UpdateResult struct {
 	Matched  int
@@ -498,7 +526,7 @@ func (c *Collection) update(filter, update document.D, many bool) (UpdateResult,
 	for _, id := range c.scanLocked(flt) {
 		res.Matched++
 		cur := c.docs[id]
-		next, err := upd.Apply(cur.Copy())
+		next, err := applyUpdate(upd, cur)
 		if err != nil {
 			opErr = err
 			break
@@ -546,7 +574,7 @@ func (c *Collection) Upsert(filter, update document.D) (string, error) {
 	ids := c.scanLocked(flt)
 	if len(ids) > 0 {
 		id := ids[0]
-		next, err := upd.Apply(c.docs[id].Copy())
+		next, err := applyUpdate(upd, c.docs[id])
 		if err != nil {
 			c.mu.Unlock()
 			return "", err
@@ -571,7 +599,7 @@ func (c *Collection) Upsert(filter, update document.D) (string, error) {
 			return "", err
 		}
 	}
-	next, err := upd.Apply(seed)
+	next, err := applyUpdate(upd, seed)
 	if err != nil {
 		c.mu.Unlock()
 		return "", err
@@ -630,7 +658,7 @@ func (c *Collection) FindAndModify(filter, update document.D, sortSpec []string,
 		}
 	}
 	before := c.docs[best].Copy()
-	next, err := upd.Apply(c.docs[best].Copy())
+	next, err := applyUpdate(upd, c.docs[best])
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err

@@ -53,11 +53,17 @@ func TestInsertDoesNotAliasCaller(t *testing.T) {
 	if v, _ := got.Get("nested.v"); v != int64(1) {
 		t.Errorf("stored doc aliased caller: %v", v)
 	}
-	// And FindID returns copies too.
-	got.Set("nested.v", 42)
+	// FindID returns a read-only snapshot: held across a write it keeps
+	// its pre-write value, and a fresh read sees the write.
+	if _, err := c.UpdateOne(document.D{"_id": id}, doc(`{"$set": {"nested.v": 42}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := got.Get("nested.v"); v != int64(1) {
+		t.Errorf("snapshot held across a write changed: %v", v)
+	}
 	got2, _ := c.FindID(id)
-	if v, _ := got2.Get("nested.v"); v != int64(1) {
-		t.Errorf("FindID aliased store: %v", v)
+	if v, _ := got2.Get("nested.v"); v != int64(42) {
+		t.Errorf("fresh FindID = %v, want 42", v)
 	}
 }
 

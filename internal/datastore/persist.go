@@ -451,17 +451,26 @@ func (j *journal) recordWriteErrLocked(err error) {
 }
 
 // stageWrite frames one mutation record for the group commit. Callers
-// hold the owning collection's write lock; see stage.
+// hold the owning collection's write lock; see stage. A document that
+// cannot be encoded yields a ticket already failed with that error, so
+// the write is never acknowledged without its record.
 func (j *journal) stageWrite(coll string, op journalOp, id string, doc document.D) *commitTicket {
 	var raw json.RawMessage
 	if doc != nil {
 		b, err := doc.ToJSON()
 		if err != nil {
-			return nil
+			return failedTicket(fmt.Errorf("datastore: journal %s/%s: %w", coll, id, err))
 		}
 		raw = b
 	}
 	return j.stage(journalRecord{Op: op, Collection: coll, ID: id, Doc: raw})
+}
+
+// failedTicket is a commit ticket resolved with err before any write.
+func failedTicket(err error) *commitTicket {
+	t := &commitTicket{ch: make(chan struct{}), err: err}
+	close(t.ch)
+	return t
 }
 
 func (j *journal) logDrop(coll string) {

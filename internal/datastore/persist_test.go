@@ -2,6 +2,7 @@ package datastore
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -214,4 +215,71 @@ func TestCloseReleasesStoreLockBeforeJournalClose(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+}
+
+// TestNonFiniteWriteRefusedAndNeverAcked: a document holding ±Inf or NaN
+// has no JSON form, so it can never be journaled. Every write path must
+// refuse it before applying — the durable store used to apply the
+// update, drop the journal encode error and acknowledge, so readers saw
+// +Inf that a reopen silently rolled back to 1e308.
+func TestNonFiniteWriteRefusedAndNeverAcked(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.C("m")
+	if _, err := c.Insert(document.D{"_id": "a", "x": 1e308}); err != nil {
+		t.Fatal(err)
+	}
+	inc := document.D{"$inc": document.D{"x": 1e308}}
+	filter := document.D{"_id": "a"}
+	if _, err := c.UpdateOne(filter, inc); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Fatalf("overflowing $inc: err = %v, want ErrUnsupportedValue", err)
+	}
+	if _, err := c.Upsert(filter, inc); err == nil {
+		t.Error("overflowing upsert acknowledged")
+	}
+	if _, err := c.FindAndModify(filter, inc, nil, true); err == nil {
+		t.Error("overflowing findAndModify acknowledged")
+	}
+	res, err := c.BulkWrite([]BulkOp{
+		{Op: BulkUpdateOne, Filter: filter, Update: inc},
+		{Op: BulkInsert, Doc: document.D{"_id": "b", "x": math.Inf(-1)}},
+	})
+	if err != nil || res.PerOp[0].Error == "" || res.PerOp[1].Error == "" || res.Modified+res.Inserted != 0 {
+		t.Errorf("bulk with non-finite values = %+v, %v; want both ops refused", res, err)
+	}
+	if _, err := c.Insert(document.D{"_id": "c", "x": math.NaN()}); err == nil {
+		t.Error("NaN insert acknowledged")
+	}
+	if _, err := c.InsertMany([]document.D{{"_id": "d"}, {"_id": "e", "x": math.Inf(1)}}); err == nil {
+		t.Error("insertMany with +Inf acknowledged")
+	}
+	check := func(c *Collection, when string) {
+		t.Helper()
+		if n, _ := c.Count(nil); n != 1 {
+			t.Errorf("%s: %d documents, want only the original", when, n)
+		}
+		got, err := c.FindID("a")
+		if err != nil || got["x"] != 1e308 {
+			t.Errorf("%s: x = %v (%v), want 1e308", when, got["x"], err)
+		}
+	}
+	check(c, "before reopen")
+	// Should a record still fail to encode, its commit fails: the write
+	// is never acknowledged without its journal record.
+	j := s.journal.Load()
+	if err := j.commit(j.stageWrite("m", journalUpdate, "a", document.D{"x": math.NaN()})); err == nil {
+		t.Error("unencodable journal record committed without error")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2.C("m"), "after reopen")
 }

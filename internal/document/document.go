@@ -25,18 +25,6 @@ type D map[string]any
 // New returns an empty document.
 func New() D { return D{} }
 
-// FromJSON decodes a JSON object into a document. Numbers are decoded with
-// json.Number and normalized: integral values become int64, others float64.
-func FromJSON(data []byte) (D, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.UseNumber()
-	var raw map[string]any
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("document: decode: %w", err)
-	}
-	return Normalize(raw).(map[string]any), nil
-}
-
 // MustFromJSON is FromJSON that panics on error; intended for tests and
 // static fixtures.
 func MustFromJSON(data string) D {
@@ -45,12 +33,6 @@ func MustFromJSON(data string) D {
 		panic(err)
 	}
 	return d
-}
-
-// ToJSON encodes the document as compact JSON with sorted keys (the
-// encoding/json default for maps).
-func (d D) ToJSON() ([]byte, error) {
-	return json.Marshal(map[string]any(d))
 }
 
 // String renders the document as JSON, or a diagnostic on failure.
@@ -165,6 +147,8 @@ func Normalize(v any) any {
 }
 
 // NormalizeDoc normalizes every value in d, returning a new document.
+// The result is a fresh tree: every map and slice in it is newly built,
+// so it never aliases d and needs no further Copy().
 func NormalizeDoc(d D) D {
 	return D(Normalize(map[string]any(d)).(map[string]any))
 }
@@ -177,11 +161,6 @@ func (d D) Copy() D {
 	}
 	return D(copyValue(map[string]any(d)).(map[string]any))
 }
-
-// CopyValue returns a deep copy of an arbitrary document value: nested
-// maps and arrays are duplicated, scalars returned as-is. Result caches
-// use it so callers never alias a cached value.
-func CopyValue(v any) any { return copyValue(v) }
 
 func copyValue(v any) any {
 	switch x := v.(type) {
@@ -216,40 +195,60 @@ func splitPath(path string) []string {
 	return strings.Split(path, ".")
 }
 
+// SplitPath splits a dotted path into its segments, for callers that
+// resolve the same path against many documents (see Lookup).
+func SplitPath(path string) []string { return splitPath(path) }
+
 // Get retrieves the value at a dotted path. Array elements are addressed
 // by numeric segments ("sites.0.species"). The second result reports
 // whether the full path resolved.
 func (d D) Get(path string) (any, bool) {
-	return getPath(map[string]any(d), splitPath(path))
-}
-
-func getPath(v any, segs []string) (any, bool) {
-	if len(segs) == 0 {
+	var v any = map[string]any(d)
+	if path == "" {
 		return v, true
 	}
-	seg, rest := segs[0], segs[1:]
+	for {
+		seg, rest, more := strings.Cut(path, ".")
+		var ok bool
+		if v, ok = child(v, seg); !ok {
+			return nil, false
+		}
+		if !more {
+			return v, true
+		}
+		path = rest
+	}
+}
+
+// Lookup is Get over a path already split by SplitPath.
+func (d D) Lookup(segs []string) (any, bool) {
+	var v any = map[string]any(d)
+	for _, seg := range segs {
+		var ok bool
+		if v, ok = child(v, seg); !ok {
+			return nil, false
+		}
+	}
+	return v, true
+}
+
+// child resolves one path segment below v.
+func child(v any, seg string) (any, bool) {
 	switch x := v.(type) {
 	case map[string]any:
-		child, ok := x[seg]
-		if !ok {
-			return nil, false
-		}
-		return getPath(child, rest)
+		c, ok := x[seg]
+		return c, ok
 	case D:
-		child, ok := x[seg]
-		if !ok {
-			return nil, false
-		}
-		return getPath(child, rest)
+		c, ok := x[seg]
+		return c, ok
 	case []any:
 		idx, err := strconv.Atoi(seg)
 		if err != nil || idx < 0 || idx >= len(x) {
 			return nil, false
 		}
-		return getPath(x[idx], rest)
-	default:
-		return nil, false
+		return x[idx], true
 	}
+	return nil, false
 }
 
 // GetString returns the string at path, or "" if absent or not a string.

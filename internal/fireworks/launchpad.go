@@ -149,7 +149,7 @@ func (lp *LaunchPad) AddWorkflow(fws []Firework) (string, error) {
 			"_id":          fw.ID,
 			"wf_id":        wfID,
 			"state":        string(StateWaiting),
-			"stage":        map[string]any(document.NormalizeDoc(fw.Stage).Copy()),
+			"stage":        map[string]any(document.NormalizeDoc(fw.Stage)),
 			"parents":      parents,
 			"fuse":         fw.Fuse,
 			"analyzer":     fw.Analyzer,
@@ -625,7 +625,7 @@ func (lp *LaunchPad) addChild(parentID, wfID string, fw Firework) error {
 		"_id":          fw.ID,
 		"wf_id":        wfID,
 		"state":        string(StateWaiting),
-		"stage":        map[string]any(document.NormalizeDoc(fw.Stage).Copy()),
+		"stage":        map[string]any(document.NormalizeDoc(fw.Stage)),
 		"parents":      parents,
 		"fuse":         fw.Fuse,
 		"analyzer":     fw.Analyzer,

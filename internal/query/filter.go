@@ -200,9 +200,10 @@ func (m notMatcher) matches(d document.D) bool { return !m.sub.matches(d) }
 // fieldMatcher applies a value predicate at a dotted path with MongoDB
 // array semantics: if the resolved value is an array and the predicate is
 // not itself array-aware, the predicate matches if any element matches or
-// if the array as a whole matches.
+// if the array as a whole matches. The dotted path is split once, at
+// compile time, not per document.
 type fieldMatcher struct {
-	path string
+	segs []string
 	pred valuePred
 }
 
@@ -215,7 +216,7 @@ type valuePred interface {
 }
 
 func (m fieldMatcher) matches(d document.D) bool {
-	v, ok := d.Get(m.path)
+	v, ok := d.Lookup(m.segs)
 	if m.pred.arrayAware() {
 		return m.pred.test(v, ok)
 	}
@@ -287,7 +288,7 @@ func compileClause(clause map[string]any) (matcher, []fieldConstraint, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			subs = append(subs, fieldMatcher{path: key, pred: pred})
+			subs = append(subs, fieldMatcher{segs: document.SplitPath(key), pred: pred})
 			constraints = append(constraints, cons...)
 		}
 	}

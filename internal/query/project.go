@@ -70,11 +70,15 @@ func MustCompileProjection(p document.D) *Projection {
 	return c
 }
 
-// Apply returns a new document containing the projected fields of doc.
-// The input document is never mutated.
+// Apply returns the projected fields of doc; the input document is never
+// mutated. A nil projection returns doc itself: read results are shared
+// read-only snapshots, so callers Copy() before they mutate. A non-nil
+// projection builds a fresh document whose values are copies, so a
+// caller may set computed fields on it (the aggregation $project stage
+// does).
 func (p *Projection) Apply(doc document.D) document.D {
 	if p == nil {
-		return doc.Copy()
+		return doc
 	}
 	if p.include {
 		out := document.New()

@@ -1,21 +1,30 @@
 package query
 
 import (
+	"reflect"
 	"testing"
 
 	"matproj/internal/document"
 )
 
-func TestProjectionNilReturnsCopy(t *testing.T) {
+// TestProjectionNilSharesDocument pins the read contract: without a
+// projection the stored document itself is the result (callers Copy()
+// before mutating), while a real projection builds a fresh document a
+// caller may extend without touching its input.
+func TestProjectionNilSharesDocument(t *testing.T) {
 	var p *Projection
-	d := doc(`{"a": {"b": 1}}`)
-	out := p.Apply(d)
-	if !document.Equal(out, d) {
-		t.Error("nil projection should return equal copy")
+	d := doc(`{"a": {"b": 1}, "c": 2}`)
+	if out := p.Apply(d); reflect.ValueOf(out).Pointer() != reflect.ValueOf(d).Pointer() {
+		t.Error("nil projection should return the input document itself")
 	}
-	out.Set("a.b", 99)
-	if v, _ := d.Get("a.b"); v != int64(1) {
-		t.Error("nil projection aliased input")
+	for _, spec := range []string{`{"a": 1}`, `{"c": 0}`} {
+		out := MustCompileProjection(doc(spec)).Apply(d)
+		if err := out.Set("a.b", 99); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := d.Get("a.b"); v != int64(1) {
+			t.Errorf("projection %s aliased its input", spec)
+		}
 	}
 }
 

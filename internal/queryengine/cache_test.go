@@ -44,19 +44,21 @@ func TestFindServedFromCacheUntilWrite(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatalf("cached result differs: %d vs %d docs", len(a), len(b))
 	}
-	// Results must not alias the cache: mutating one response cannot
-	// leak into the next.
-	if len(b) > 0 {
-		b[0]["band_gap"] = float64(-1)
+	// A write invalidates: the next read recomputes and sees new data,
+	// while results held across the write are snapshots that keep their
+	// pre-write values.
+	if len(b) == 0 {
+		t.Fatal("fixture matched no documents")
 	}
-	c, _ := eng.Find("u", "m", filter, nil)
-	if len(c) > 0 && c[0]["band_gap"] == float64(-1) {
-		t.Fatal("caller mutation leaked into the cache")
+	id, before := b[0]["_id"], b[0]["band_gap"]
+	if _, err := eng.Update("u", "m", document.D{"_id": id}, document.D{"$set": document.D{"band_gap": 8.8}}, false); err != nil {
+		t.Fatal(err)
 	}
-
-	// A write invalidates: the next read recomputes and sees new data.
 	if _, err := eng.Insert("u", "m", document.D{"band_gap": 9.9}); err != nil {
 		t.Fatal(err)
+	}
+	if b[0]["band_gap"] != before {
+		t.Fatalf("snapshot held across a write changed: %v -> %v", before, b[0]["band_gap"])
 	}
 	d, err := eng.Find("u", "m", filter, nil)
 	if err != nil {
@@ -64,6 +66,11 @@ func TestFindServedFromCacheUntilWrite(t *testing.T) {
 	}
 	if len(d) != len(a)+1 {
 		t.Fatalf("post-write find = %d docs, want %d", len(d), len(a)+1)
+	}
+	for _, doc := range d {
+		if doc["_id"] == id && doc["band_gap"] != 8.8 {
+			t.Fatalf("fresh read of %v = %v, want band_gap 8.8", id, doc["band_gap"])
+		}
 	}
 }
 

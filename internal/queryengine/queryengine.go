@@ -85,8 +85,8 @@ type Engine struct {
 
 	// cache, when set, serves Find/Count/Distinct results validated by
 	// the backend collection's write generation (nil = every read
-	// recomputes). Cached values are deep-copied on the way out, so
-	// callers never alias the cache.
+	// recomputes). A cached result is shared by every caller that hits
+	// it, which the read contract (see Find) makes safe.
 	cache atomic.Pointer[rcache.Cache]
 
 	mu sync.RWMutex
@@ -182,16 +182,6 @@ func cacheArg(filter document.D, opts *datastore.FindOpts, field string) (string
 		return "", false
 	}
 	return string(b), true
-}
-
-// copyDocs deep-copies a cached result slice so no two callers (or the
-// cache itself) share document memory.
-func copyDocs(docs []document.D) []document.D {
-	out := make([]document.D, len(docs))
-	for i, d := range docs {
-		out[i] = d.Copy()
-	}
-	return out
 }
 
 // observeOp records one engine operation: a per-op latency histogram and
@@ -442,6 +432,12 @@ func (e *Engine) checkRate(user string) error {
 }
 
 // Find runs a sanitized, alias-translated query for a user.
+//
+// Read contract (Find, FindOne, Distinct and Aggregate alike): results
+// are shared, read-only snapshots — the backend's stored or cached
+// documents, possibly handed to other callers too. Neither the returned
+// slice nor the documents in it may be mutated; Copy() a document
+// first. A result held across a write keeps its pre-write values.
 func (e *Engine) Find(user, collection string, filter document.D, opts *datastore.FindOpts) (docs []document.D, err error) {
 	start := time.Now()
 	defer func() { e.observeOp("find", collection, filter, start, len(docs), err) }()
@@ -496,7 +492,7 @@ func (e *Engine) Find(user, collection string, filter document.D, opts *datastor
 	if err != nil {
 		return nil, err
 	}
-	return copyDocs(v.([]document.D)), nil
+	return v.([]document.D), nil
 }
 
 // explainTruthy interprets the $explain flag value: false, nil and
@@ -648,12 +644,7 @@ func (e *Engine) Distinct(user, collection, field string, filter document.D) (va
 	if err != nil {
 		return nil, err
 	}
-	out := v.([]any)
-	copied := make([]any, len(out))
-	for i, val := range out {
-		copied[i] = document.CopyValue(val)
-	}
-	return copied, nil
+	return v.([]any), nil
 }
 
 // Update applies a sanitized update; many selects UpdateMany.

@@ -61,6 +61,7 @@ func TestMaterialsAPISuiteRouted(t *testing.T) {
 	t.Run("AggregateEndpoint", TestAggregateEndpoint)
 	t.Run("InsertManyEndpoint", TestInsertManyEndpoint)
 	t.Run("BulkWriteEndpoint", TestBulkWriteEndpoint)
+	t.Run("UnencodableResultIs500", TestUnencodableResultIs500)
 }
 
 // TestRoutedBackendUnavailable: with every shard member down, the API

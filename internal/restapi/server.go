@@ -99,14 +99,43 @@ type apiResponse struct {
 	NResults int    `json:"num_results"`
 }
 
+// appendJSON encodes the envelope through the document codec: the bytes
+// json.NewEncoder(w).Encode(resp) would write, trailing newline included.
+func (resp apiResponse) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"valid_response":`...)
+	dst = strconv.AppendBool(dst, resp.Valid)
+	var err error
+	if resp.Error != "" {
+		dst = append(dst, `,"error":`...)
+		if dst, err = document.AppendJSON(dst, resp.Error); err != nil {
+			return nil, fmt.Errorf("restapi: encode error: %w", err)
+		}
+	}
+	dst = append(dst, `,"response":`...)
+	if dst, err = document.AppendJSON(dst, resp.Response); err != nil {
+		return nil, fmt.Errorf("restapi: encode response: %w", err)
+	}
+	dst = append(dst, `,"num_results":`...)
+	dst = strconv.AppendInt(dst, int64(resp.NResults), 10)
+	return append(dst, '}', '\n'), nil
+}
+
+// writeJSON encodes the whole envelope before replying, so a body that
+// cannot be encoded (a NaN or ±Inf in a result) becomes a 500 with an
+// error envelope instead of a success status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, resp apiResponse) {
 	if resp.Response == nil {
 		resp.Response = []any{}
 	}
 	resp.NResults = len(resp.Response)
+	body, err := resp.appendJSON(nil)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = apiResponse{Response: []any{}, Error: err.Error()}.appendJSON(nil)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

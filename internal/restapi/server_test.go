@@ -1,6 +1,7 @@
 package restapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -396,5 +397,42 @@ func TestAggregateEndpoint(t *testing.T) {
 	status, _ = post(`{nope`)
 	if status != http.StatusBadRequest {
 		t.Errorf("garbage status = %d", status)
+	}
+}
+
+// TestUnencodableResultIs500: a result the envelope cannot carry (a
+// $group $sum overflowing to +Inf) must answer 500 with an error
+// envelope, not 200 over an empty body.
+func TestUnencodableResultIs500(t *testing.T) {
+	srv, key := testServer(t)
+	if status, env := postJSON(t, srv, key, "/rest/v1/insertMany",
+		`{"docs": [{"pretty_formula": "Xx", "big": 1e308}, {"pretty_formula": "Xx", "big": 1e308}]}`); status != http.StatusOK {
+		t.Fatalf("insertMany: %d %+v", status, env)
+	}
+	status, env := postJSON(t, srv, key, "/rest/v1/aggregate",
+		`{"pipeline": [{"$match": {"pretty_formula": "Xx"}}, {"$group": {"_id": null, "s": {"$sum": "$big"}}}]}`)
+	if status != http.StatusInternalServerError || env.Valid || !strings.Contains(env.Error, "unsupported value") {
+		t.Fatalf("overflowing $sum: status=%d env=%+v, want 500 with an error envelope", status, env)
+	}
+}
+
+// TestEnvelopeBytesMatchEncodingJSON pins the REST wire format: the
+// codec-encoded envelope is byte for byte what json.Encoder wrote.
+func TestEnvelopeBytesMatchEncodingJSON(t *testing.T) {
+	for _, resp := range []apiResponse{
+		{Valid: true, Response: []any{map[string]any(doc(`{"_id": "mat-1", "tags": ["<a&b>"], "e": -8.1e-7, "n": 3}`)), map[string]any{"matched": 2, "id": "x"}}, NResults: 2},
+		{Valid: false, Error: "bad \u2028 input <x>", Response: []any{}},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		got, err := resp.appendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("envelope bytes differ:\n got  %s\n want %s", got, want.Bytes())
+		}
 	}
 }

@@ -91,7 +91,7 @@ func (c *Cluster) shardFor(v any) int {
 // all replicas. Documents missing the shard key are rejected (hash-
 // sharding needs the key present).
 func (c *Cluster) Insert(collection string, doc document.D) (string, error) {
-	d := document.NormalizeDoc(doc).Copy()
+	d := document.NormalizeDoc(doc)
 	var idx int
 	if c.opts.ShardKey == "_id" {
 		// Mint the id at the router so every member stores an identical

@@ -50,6 +50,11 @@ go test -race ./...
 # read after an acknowledged write, writers racing readers).
 echo "stress pass (-race -count=2: cluster, fireworks, rcache, queryengine)..."
 go test -race -count=2 ./internal/cluster/ ./internal/fireworks/ ./internal/rcache/ ./internal/queryengine/
+# Read contract: results are shared read-only snapshots. Readers on every
+# serving path race writers on the same documents; a write into a shared
+# result is a data race, and no held snapshot may change.
+echo "read-snapshot stress (-race -count=3)..."
+go test -race -count=3 -run '^TestReadSnapshotsUnderConcurrentWrites$' ./internal/restapi/
 
 # Planner correctness oracle: >=1200 seeded corpus/query pairs where the
 # planner-chosen execution must match a naive scan-then-sort twin
@@ -64,6 +69,7 @@ echo "fuzz smoke (${FUZZTIME} per target)..."
 go test ./internal/query/ -run '^$' -fuzz '^FuzzFilterCompileMatch$' -fuzztime "$FUZZTIME"
 go test ./internal/query/ -run '^$' -fuzz '^FuzzUpdateApply$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentPath$' -fuzztime "$FUZZTIME"
+go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentJSON$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzKeyEncodingOrder$' -fuzztime "$FUZZTIME"
 
 # Cluster e2e smoke: two real shard-node processes, a router process that
