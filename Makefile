@@ -37,3 +37,5 @@ fuzz:
 	go test ./internal/query/ -run '^$$' -fuzz '^FuzzUpdateApply$$' -fuzztime 60s
 	go test ./internal/document/ -run '^$$' -fuzz '^FuzzDocumentPath$$' -fuzztime 60s
 	go test ./internal/document/ -run '^$$' -fuzz '^FuzzDocumentJSON$$' -fuzztime 60s
+	go test ./internal/datastore/ -run '^$$' -fuzz '^FuzzKeyEncodingOrder$$' -fuzztime 60s
+	go test ./internal/cluster/wire/ -run '^$$' -fuzz '^FuzzWireRequest$$' -fuzztime 60s

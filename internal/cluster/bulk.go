@@ -26,7 +26,7 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 		return nil, nil
 	}
 	ids := make([]string, len(docs))
-	groupDocs := make([][]map[string]any, len(r.groups))
+	groupDocs := make([][]document.D, len(r.groups))
 	groupIdx := make([][]int, len(r.groups))
 	for i, doc := range docs {
 		d := document.NormalizeDoc(doc)
@@ -47,7 +47,7 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 			}
 			gi = shard.HashShard(keyVal, len(r.groups))
 		}
-		groupDocs[gi] = append(groupDocs[gi], map[string]any(d))
+		groupDocs[gi] = append(groupDocs[gi], d)
 		groupIdx[gi] = append(groupIdx[gi], i)
 	}
 	targets := make([]int, 0, len(r.groups))
@@ -58,11 +58,15 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 	}
 	var mu sync.Mutex
 	err := r.scatter(targets, func(gi int) error {
+		// One encoding per sub-batch, shipped to every member.
+		body, err := encodeRequest(wire.PathInsertMany, &wire.InsertManyRequest{Collection: collection, Docs: groupDocs[gi]})
+		if err != nil {
+			return err
+		}
 		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.InsertManyResponse
-			req := wire.InsertManyRequest{Collection: collection, Docs: groupDocs[gi]}
-			if err := r.call(m, wire.PathInsertMany, req, &resp); err != nil {
+			if err := r.call(m, wire.PathInsertMany, body, &resp); err != nil {
 				return err
 			}
 			m.noteGen(resp.Gen)
@@ -143,32 +147,36 @@ func (r *Router) BulkWrite(collection string, ops []datastore.BulkOp) (datastore
 	var mu sync.Mutex
 	failed := 0
 	_ = r.scatter(targets, func(gi int) error {
-		first := true
-		werr := r.writeOnGroup(gi, func(m *member) error {
-			var resp wire.BulkWriteResponse
-			req := wire.BulkWriteRequest{Collection: collection, Ops: groupOps[gi]}
-			if err := r.call(m, wire.PathBulkWrite, req, &resp); err != nil {
-				return err
-			}
-			m.noteGen(resp.Gen)
-			mu.Lock()
-			if first {
-				res.Inserted += resp.Inserted
-				res.Matched += resp.Matched
-				res.Modified += resp.Modified
-				res.Removed += resp.Removed
-				for si, oi := range groupIdx[gi] {
-					if si >= len(resp.PerOp) {
-						break
-					}
-					mergeBulkOpResult(&res.PerOp[oi], resp.PerOp[si])
+		// One encoding per sub-batch, shipped to every member. An
+		// unencodable op fails its sub-batch like an unavailable group.
+		body, werr := encodeRequest(wire.PathBulkWrite, &wire.BulkWriteRequest{Collection: collection, Ops: groupOps[gi]})
+		if werr == nil {
+			first := true
+			werr = r.writeOnGroup(gi, func(m *member) error {
+				var resp wire.BulkWriteResponse
+				if err := r.call(m, wire.PathBulkWrite, body, &resp); err != nil {
+					return err
 				}
-				first = false
-			}
-			mu.Unlock()
-			return nil
-		})
-		r.bumpGen(collection, gi)
+				m.noteGen(resp.Gen)
+				mu.Lock()
+				if first {
+					res.Inserted += resp.Inserted
+					res.Matched += resp.Matched
+					res.Modified += resp.Modified
+					res.Removed += resp.Removed
+					for si, oi := range groupIdx[gi] {
+						if si >= len(resp.PerOp) {
+							break
+						}
+						mergeBulkOpResult(&res.PerOp[oi], resp.PerOp[si])
+					}
+					first = false
+				}
+				mu.Unlock()
+				return nil
+			})
+			r.bumpGen(collection, gi)
+		}
 		if werr != nil {
 			mu.Lock()
 			failed++
@@ -204,12 +212,7 @@ func mergeBulkOpResult(dst *datastore.BulkOpResult, src wire.BulkOpResult) {
 
 // routeBulkOp decides where one op runs.
 func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
-	rt := bulkRoute{op: wire.BulkOp{
-		Op:     op.Op,
-		Doc:    map[string]any(op.Doc),
-		Filter: map[string]any(op.Filter),
-		Update: map[string]any(op.Update),
-	}}
+	rt := bulkRoute{op: wire.BulkOp(op)}
 	switch op.Op {
 	case datastore.BulkInsert:
 		d := document.NormalizeDoc(op.Doc)
@@ -257,7 +260,7 @@ func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
 			}
 			pinned := document.D{"_id": id}
 			rt.op.Op = datastore.BulkUpdateMany
-			rt.op.Filter = map[string]any(pinned)
+			rt.op.Filter = pinned
 			targets, err = r.targets(pinned)
 			if err != nil {
 				rt.err = err.Error()

@@ -22,7 +22,6 @@ import (
 
 	"matproj/internal/cluster/wire"
 	"matproj/internal/datastore"
-	"matproj/internal/document"
 	"matproj/internal/obs"
 )
 
@@ -174,12 +173,26 @@ func writeJSON(w http.ResponseWriter, v any) error {
 	return nil
 }
 
-func (n *Node) handleInsert(w http.ResponseWriter, r *http.Request) error {
-	var req wire.InsertRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
+// decodeRequest reads and parses a request body. The document codec
+// hands back normalized trees, so handlers pass them to the store as
+// they are; a body that does not parse is the caller's mistake (400).
+func decodeRequest(r *http.Request, req wire.Request) error {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return badRequest("cluster: read request: %v", err)
+	}
+	if err := wire.DecodeRequest(body, req); err != nil {
 		return badRequest("%v", err)
 	}
-	id, err := n.store.C(req.Collection).Insert(wire.NormalizeMap(req.Doc))
+	return nil
+}
+
+func (n *Node) handleInsert(w http.ResponseWriter, r *http.Request) error {
+	var req wire.InsertRequest
+	if err := decodeRequest(r, &req); err != nil {
+		return err
+	}
+	id, err := n.store.C(req.Collection).Insert(req.Doc)
 	if err != nil {
 		return fmt.Errorf("cluster: insert %s: %w", req.Collection, err)
 	}
@@ -188,14 +201,10 @@ func (n *Node) handleInsert(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleInsertMany(w http.ResponseWriter, r *http.Request) error {
 	var req wire.InsertManyRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	docs := make([]document.D, len(req.Docs))
-	for i, d := range req.Docs {
-		docs[i] = wire.NormalizeMap(d)
-	}
-	ids, err := n.store.C(req.Collection).InsertMany(docs)
+	ids, err := n.store.C(req.Collection).InsertMany(req.Docs)
 	if err != nil {
 		return fmt.Errorf("cluster: insertMany %s: %w", req.Collection, err)
 	}
@@ -204,8 +213,8 @@ func (n *Node) handleInsertMany(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleBulkWrite(w http.ResponseWriter, r *http.Request) error {
 	var req wire.BulkWriteRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
 	res, err := n.store.C(req.Collection).BulkWrite(req.ToBulkOps())
 	if err != nil {
@@ -216,10 +225,10 @@ func (n *Node) handleBulkWrite(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleFind(w http.ResponseWriter, r *http.Request) error {
 	var req wire.FindRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	docs, err := n.store.C(req.Collection).FindAll(wire.NormalizeMap(req.Filter), req.Opts.ToFindOpts())
+	docs, err := n.store.C(req.Collection).FindAll(req.Filter, req.Opts.ToFindOpts())
 	if err != nil {
 		return fmt.Errorf("cluster: find %s: %w", req.Collection, err)
 	}
@@ -228,10 +237,10 @@ func (n *Node) handleFind(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleCount(w http.ResponseWriter, r *http.Request) error {
 	var req wire.CountRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	c, err := n.store.C(req.Collection).Count(wire.NormalizeMap(req.Filter))
+	c, err := n.store.C(req.Collection).Count(req.Filter)
 	if err != nil {
 		return fmt.Errorf("cluster: count %s: %w", req.Collection, err)
 	}
@@ -240,8 +249,8 @@ func (n *Node) handleCount(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) error {
 	var req wire.GetRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
 	d, err := n.store.C(req.Collection).FindID(req.ID)
 	if err != nil {
@@ -252,16 +261,16 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) error {
 	var req wire.UpdateRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
 	c := n.store.C(req.Collection)
 	var res datastore.UpdateResult
 	var err error
 	if req.Many {
-		res, err = c.UpdateMany(wire.NormalizeMap(req.Filter), wire.NormalizeMap(req.Update))
+		res, err = c.UpdateMany(req.Filter, req.Update)
 	} else {
-		res, err = c.UpdateOne(wire.NormalizeMap(req.Filter), wire.NormalizeMap(req.Update))
+		res, err = c.UpdateOne(req.Filter, req.Update)
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: update %s: %w", req.Collection, err)
@@ -271,10 +280,10 @@ func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleRemove(w http.ResponseWriter, r *http.Request) error {
 	var req wire.RemoveRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	c, err := n.store.C(req.Collection).Remove(wire.NormalizeMap(req.Filter))
+	c, err := n.store.C(req.Collection).Remove(req.Filter)
 	if err != nil {
 		return fmt.Errorf("cluster: remove %s: %w", req.Collection, err)
 	}
@@ -283,10 +292,10 @@ func (n *Node) handleRemove(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 	var req wire.AggregateRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	docs, err := n.store.C(req.Collection).Aggregate(wire.NormalizePipeline(req.Pipeline))
+	docs, err := n.store.C(req.Collection).Aggregate(req.Pipeline)
 	if err != nil {
 		return fmt.Errorf("cluster: aggregate %s: %w", req.Collection, err)
 	}
@@ -295,10 +304,10 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleDistinct(w http.ResponseWriter, r *http.Request) error {
 	var req wire.DistinctRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	vals, err := n.store.C(req.Collection).Distinct(req.Path, wire.NormalizeMap(req.Filter))
+	vals, err := n.store.C(req.Collection).Distinct(req.Path, req.Filter)
 	if err != nil {
 		return fmt.Errorf("cluster: distinct %s: %w", req.Collection, err)
 	}
@@ -307,14 +316,14 @@ func (n *Node) handleDistinct(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleMapReduce(w http.ResponseWriter, r *http.Request) error {
 	var req wire.MapReduceRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
 	job, ok := LookupJob(req.Job)
 	if !ok {
 		return badRequest("cluster: unknown mapreduce job %q", req.Job)
 	}
-	docs, err := n.store.C(req.Collection).MapReduce(wire.NormalizeMap(req.Filter), job.Map, job.Reduce)
+	docs, err := n.store.C(req.Collection).MapReduce(req.Filter, job.Map, job.Reduce)
 	if err != nil {
 		return fmt.Errorf("cluster: mapreduce %s: %w", req.Collection, err)
 	}
@@ -323,8 +332,8 @@ func (n *Node) handleMapReduce(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleEnsureIndex(w http.ResponseWriter, r *http.Request) error {
 	var req wire.EnsureIndexRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
 	if len(req.Paths) > 0 {
 		n.store.C(req.Collection).EnsureOrderedIndex(req.Paths...)
@@ -336,10 +345,10 @@ func (n *Node) handleEnsureIndex(w http.ResponseWriter, r *http.Request) error {
 
 func (n *Node) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	var req wire.ExplainRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
+	if err := decodeRequest(r, &req); err != nil {
+		return err
 	}
-	plan, err := n.store.C(req.Collection).Explain(wire.NormalizeMap(req.Filter), req.Opts.ToFindOpts())
+	plan, err := n.store.C(req.Collection).Explain(req.Filter, req.Opts.ToFindOpts())
 	if err != nil {
 		return badRequest("cluster: explain %s: %v", req.Collection, err)
 	}

@@ -234,10 +234,12 @@ func (r *Router) transportFaults() TransportFaults {
 	return r.faults
 }
 
-// call POSTs one wire request to a member and decodes the response into
-// out. Transport failures and injected faults return an error; the
-// caller decides whether to mark the member unhealthy.
-func (r *Router) call(m *member, path string, req, out any) error {
+// call POSTs one encoded wire request to a member and decodes the
+// response into out. Callers encode each request once (encodeRequest) and
+// hand the same bytes to every member they try. Transport failures and
+// injected faults return an error; the caller decides whether to mark
+// the member unhealthy.
+func (r *Router) call(m *member, path string, body []byte, out any) error {
 	if f := r.transportFaults(); f != nil {
 		if d := f.CallDelay(); d > 0 {
 			r.clock.Sleep(d)
@@ -250,10 +252,6 @@ func (r *Router) call(m *member, path string, req, out any) error {
 			r.reg.Counter("cluster_calls_errored_total").Inc()
 			return fmt.Errorf("cluster: injected remote error from %s%s", m.url, path)
 		}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("cluster: encode %s: %w", path, err)
 	}
 	resp, err := r.client.Post(m.url+wire.Version+path, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -282,6 +280,15 @@ func (r *Router) call(m *member, path string, req, out any) error {
 		return fmt.Errorf("cluster: decode %s%s: %w", m.url, path, err)
 	}
 	return nil
+}
+
+// encodeRequest encodes one wire request for call.
+func encodeRequest(path string, req wire.Request) ([]byte, error) {
+	body, err := req.AppendJSON(nil)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encode %s: %w", path, err)
+	}
+	return body, nil
 }
 
 // remoteError is an application-level error relayed from a node. The
@@ -370,8 +377,8 @@ func (r *Router) promoteLocked(g *rgroup) bool {
 // readOnGroup runs one read call against a group, failing over through
 // its healthy members and retrying transient transport exhaustion with
 // jittered backoff. Primary-only routing (no staleness bound).
-func (r *Router) readOnGroup(gi int, path string, req, out any) error {
-	return r.readOnGroupStale(gi, path, req, out, 0)
+func (r *Router) readOnGroup(gi int, path string, body []byte, out any) error {
+	return r.readOnGroupStale(gi, path, body, out, 0)
 }
 
 // readOnGroupStale is readOnGroup with an optional staleness bound:
@@ -383,10 +390,10 @@ func (r *Router) readOnGroup(gi int, path string, req, out any) error {
 // doubling backoff, re-probes the group (transient blips self-heal
 // without waiting for the health loop), and tries again — up to
 // ReadRetries extra rounds. Remote op errors never retry.
-func (r *Router) readOnGroupStale(gi int, path string, req, out any, maxStale int) error {
+func (r *Router) readOnGroupStale(gi int, path string, body []byte, out any, maxStale int) error {
 	var lastErr error
 	for round := 0; ; round++ {
-		err := r.readRound(gi, path, req, out, maxStale)
+		err := r.readRound(gi, path, body, out, maxStale)
 		if err == nil || !errors.Is(err, queryengine.ErrUnavailable) {
 			return err
 		}
@@ -413,7 +420,7 @@ func (r *Router) jitter(d time.Duration) time.Duration {
 }
 
 // readRound makes one pass over a group's candidate members.
-func (r *Router) readRound(gi int, path string, req, out any, maxStale int) error {
+func (r *Router) readRound(gi int, path string, body []byte, out any, maxStale int) error {
 	g := r.groups[gi]
 	g.mu.RLock()
 	attempts := len(g.members) + 1
@@ -429,7 +436,7 @@ func (r *Router) readRound(gi int, path string, req, out any, maxStale int) erro
 			r.reg.Counter("cluster.follower_reads_total").Inc()
 		}
 		start := time.Now()
-		err := r.call(m, path, req, out)
+		err := r.call(m, path, body, out)
 		r.reg.LatencyHistogram(fmt.Sprintf("cluster_shard%d_ms", gi)).ObserveDuration(time.Since(start))
 		if err == nil {
 			return nil
@@ -580,23 +587,19 @@ func (r *Router) bumpGen(collection string, gi int) {
 }
 
 // groupRead serves one per-group read through the result cache, keyed by
-// the wire request's JSON (encoding/json sorts map keys, so equivalent
-// filters render identically) and validated by that group's write
-// generation. The generation is loaded before the remote call, so an
-// entry can never claim to be fresher than the data it holds. A nil
-// cache, a request that fails to marshal, or cached=false all fall
-// through to a direct call — updateOne's internal read uses the latter
-// so its read-modify-write cycle never consults the cache.
-func (r *Router) groupRead(cached bool, collection string, gi int, op string, req any, compute func() (any, error)) (any, error) {
+// the encoded wire request — the same bytes the call sends (the codec
+// sorts map keys, so equivalent filters render identically) — and
+// validated by that group's write generation. The generation is loaded
+// before the remote call, so an entry can never claim to be fresher than
+// the data it holds. A nil cache or cached=false falls through to a
+// direct call — updateOne's internal read uses the latter so its
+// read-modify-write cycle never consults the cache.
+func (r *Router) groupRead(cached bool, collection string, gi int, op string, body []byte, compute func() (any, error)) (any, error) {
 	if !cached || r.rc == nil {
 		return compute()
 	}
-	arg, err := json.Marshal(req)
-	if err != nil {
-		return compute()
-	}
 	gen := r.gens.slot(collection, gi).Load()
-	v, _, err := r.rc.GetOrCompute(rcache.KeyFor(collection, fmt.Sprintf("s%d.%s", gi, op), string(arg)), gen, compute)
+	v, _, err := r.rc.GetOrCompute(rcache.KeyFor(collection, fmt.Sprintf("s%d.%s", gi, op), string(body)), gen, compute)
 	//lint:ignore wrapcheck GetOrCompute returns the compute closure's error verbatim — it is already this package's error (wrapping again would double-wrap ErrUnavailable chains)
 	return v, err
 }
@@ -624,10 +627,14 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 		}
 		gi = shard.HashShard(keyVal, len(r.groups))
 	}
+	body, err := encodeRequest(wire.PathInsert, &wire.InsertRequest{Collection: collection, Doc: d})
+	if err != nil {
+		return "", err
+	}
 	id := ""
-	err := r.writeOnGroup(gi, func(m *member) error {
+	err = r.writeOnGroup(gi, func(m *member) error {
 		var resp wire.InsertResponse
-		if err := r.call(m, wire.PathInsert, wire.InsertRequest{Collection: collection, Doc: map[string]any(d)}, &resp); err != nil {
+		if err := r.call(m, wire.PathInsert, body, &resp); err != nil {
 			return err
 		}
 		m.noteGen(resp.Gen)
@@ -694,13 +701,7 @@ func (r *Router) writeOnGroup(gi int, do func(m *member) error) error {
 // effort on unhealthy members). The write generation bumps so cached
 // plans and ETags refresh, same as EnsureOrderedIndex.
 func (r *Router) EnsureIndex(collection, path string) {
-	for gi := range r.groups {
-		r.writeOnGroup(gi, func(m *member) error {
-			var resp wire.OKResponse
-			return r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Path: path}, &resp)
-		})
-		r.bumpGen(collection, gi)
-	}
+	r.ensureIndex(collection, wire.EnsureIndexRequest{Collection: collection, Path: path})
 }
 
 // EnsureOrderedIndex creates an ordered compound index on every member of
@@ -709,13 +710,19 @@ func (r *Router) EnsureIndex(collection, path string) {
 // per-node journal record makes each member's copy durable. The write
 // generation bumps so cached plans (and $explain responses) refresh.
 func (r *Router) EnsureOrderedIndex(collection string, paths ...string) {
+	r.ensureIndex(collection, wire.EnsureIndexRequest{Collection: collection, Paths: paths})
+}
+
+// ensureIndex sends one index definition to every member of every group.
+func (r *Router) ensureIndex(collection string, req wire.EnsureIndexRequest) {
+	body, err := encodeRequest(wire.PathEnsureIndex, &req)
+	if err != nil {
+		return // names and paths always encode
+	}
 	for gi := range r.groups {
 		r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.OKResponse
-			if err := r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Paths: paths}, &resp); err != nil {
-				return err
-			}
-			return nil
+			return r.call(m, wire.PathEnsureIndex, body, &resp)
 		})
 		r.bumpGen(collection, gi)
 	}
@@ -732,11 +739,14 @@ func (r *Router) explain(collection string, filter document.D, opts *datastore.F
 	if err != nil {
 		return nil, err
 	}
+	body, err := encodeRequest(wire.PathExplain, &wire.ExplainRequest{Collection: collection, Filter: filter, Opts: wire.FromFindOpts(opts)})
+	if err != nil {
+		return nil, err
+	}
 	plans := make([]document.D, len(targets))
 	err = r.scatter(targets, func(gi int) error {
 		var resp wire.DocResponse
-		req := wire.ExplainRequest{Collection: collection, Filter: wireMap(filter), Opts: wire.FromFindOpts(opts)}
-		if err := r.readOnGroup(gi, wire.PathExplain, req, &resp); err != nil {
+		if err := r.readOnGroup(gi, wire.PathExplain, body, &resp); err != nil {
 			return err
 		}
 		plan := resp.Doc
@@ -777,13 +787,17 @@ func (r *Router) Remove(collection string, filter document.D) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	body, err := encodeRequest(wire.PathRemove, &wire.RemoveRequest{Collection: collection, Filter: filter})
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	var mu sync.Mutex
 	err = r.scatter(targets, func(gi int) error {
 		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.CountResponse
-			if err := r.call(m, wire.PathRemove, wire.RemoveRequest{Collection: collection, Filter: wireMap(filter)}, &resp); err != nil {
+			if err := r.call(m, wire.PathRemove, body, &resp); err != nil {
 				return err
 			}
 			m.noteGen(resp.Gen)
@@ -807,14 +821,17 @@ func (r *Router) updateMany(collection string, filter, update document.D) (datas
 	if err != nil {
 		return datastore.UpdateResult{}, err
 	}
+	body, err := encodeRequest(wire.PathUpdate, &wire.UpdateRequest{Collection: collection, Filter: filter, Update: update, Many: true})
+	if err != nil {
+		return datastore.UpdateResult{}, err
+	}
 	var res datastore.UpdateResult
 	var mu sync.Mutex
 	err = r.scatter(targets, func(gi int) error {
 		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.UpdateResponse
-			req := wire.UpdateRequest{Collection: collection, Filter: wireMap(filter), Update: wireMap(update), Many: true}
-			if err := r.call(m, wire.PathUpdate, req, &resp); err != nil {
+			if err := r.call(m, wire.PathUpdate, body, &resp); err != nil {
 				return err
 			}
 			m.noteGen(resp.Gen)
@@ -887,12 +904,15 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	if opts != nil {
 		maxStale = opts.MaxStaleness
 	}
+	body, err := encodeRequest(wire.PathFind, &wire.FindRequest{Collection: collection, Filter: filter, Opts: wire.FromFindOpts(perShard)})
+	if err != nil {
+		return nil, err
+	}
 	results := make([][]document.D, len(targets))
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.FindRequest{Collection: collection, Filter: wireMap(filter), Opts: wire.FromFindOpts(perShard)}
-		v, err := r.groupRead(cached, collection, gi, "find", req, func() (any, error) {
+		v, err := r.groupRead(cached, collection, gi, "find", body, func() (any, error) {
 			var resp wire.DocsResponse
-			if err := r.readOnGroupStale(gi, wire.PathFind, req, &resp, maxStale); err != nil {
+			if err := r.readOnGroupStale(gi, wire.PathFind, body, &resp, maxStale); err != nil {
 				return nil, err
 			}
 			return resp.Docs, nil
@@ -924,9 +944,12 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 // Get fetches one document by id, routing directly when sharding on _id.
 func (r *Router) Get(collection, id string) (document.D, error) {
 	if r.shardKey == "_id" {
-		var resp wire.DocResponse
-		err := r.readOnGroup(shard.HashShard(id, len(r.groups)), wire.PathGet, wire.GetRequest{Collection: collection, ID: id}, &resp)
+		body, err := encodeRequest(wire.PathGet, &wire.GetRequest{Collection: collection, ID: id})
 		if err != nil {
+			return nil, err
+		}
+		var resp wire.DocResponse
+		if err := r.readOnGroup(shard.HashShard(id, len(r.groups)), wire.PathGet, body, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Doc, nil
@@ -947,13 +970,16 @@ func (r *Router) count(collection string, filter document.D) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	body, err := encodeRequest(wire.PathCount, &wire.CountRequest{Collection: collection, Filter: filter})
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	var mu sync.Mutex
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.CountRequest{Collection: collection, Filter: wireMap(filter)}
-		v, err := r.groupRead(true, collection, gi, "count", req, func() (any, error) {
+		v, err := r.groupRead(true, collection, gi, "count", body, func() (any, error) {
 			var resp wire.CountResponse
-			if err := r.readOnGroup(gi, wire.PathCount, req, &resp); err != nil {
+			if err := r.readOnGroup(gi, wire.PathCount, body, &resp); err != nil {
 				return nil, err
 			}
 			return resp.N, nil
@@ -975,12 +1001,15 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 	if err != nil {
 		return nil, err
 	}
+	body, err := encodeRequest(wire.PathDistinct, &wire.DistinctRequest{Collection: collection, Path: path, Filter: filter})
+	if err != nil {
+		return nil, err
+	}
 	lists := make([][]any, len(targets))
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.DistinctRequest{Collection: collection, Path: path, Filter: wireMap(filter)}
-		v, err := r.groupRead(true, collection, gi, "distinct", req, func() (any, error) {
+		v, err := r.groupRead(true, collection, gi, "distinct", body, func() (any, error) {
 			var resp wire.DistinctResponse
-			if err := r.readOnGroup(gi, wire.PathDistinct, req, &resp); err != nil {
+			if err := r.readOnGroup(gi, wire.PathDistinct, body, &resp); err != nil {
 				return nil, err
 			}
 			return resp.Values, nil
@@ -1025,13 +1054,12 @@ func (r *Router) aggregate(collection string, pipeline []document.D) ([]document
 	}
 	if len(targets) == 1 {
 		// Single-shard: full pushdown.
-		var resp wire.DocsResponse
-		wp := make([]map[string]any, len(pipeline))
-		for i, st := range pipeline {
-			wp[i] = map[string]any(st)
+		body, err := encodeRequest(wire.PathAggregate, &wire.AggregateRequest{Collection: collection, Pipeline: pipeline})
+		if err != nil {
+			return nil, err
 		}
-		req := wire.AggregateRequest{Collection: collection, Pipeline: wp}
-		if err := r.readOnGroup(targets[0], wire.PathAggregate, req, &resp); err != nil {
+		var resp wire.DocsResponse
+		if err := r.readOnGroup(targets[0], wire.PathAggregate, body, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Docs, nil
@@ -1055,11 +1083,14 @@ func (r *Router) MapReduce(collection, jobName string, filter document.D) ([]doc
 	if err != nil {
 		return nil, err
 	}
+	body, err := encodeRequest(wire.PathMapReduce, &wire.MapReduceRequest{Collection: collection, Job: jobName, Filter: filter})
+	if err != nil {
+		return nil, err
+	}
 	partials := make([][]document.D, len(targets))
 	err = r.scatter(targets, func(gi int) error {
 		var resp wire.DocsResponse
-		req := wire.MapReduceRequest{Collection: collection, Job: jobName, Filter: wireMap(filter)}
-		if err := r.readOnGroup(gi, wire.PathMapReduce, req, &resp); err != nil {
+		if err := r.readOnGroup(gi, wire.PathMapReduce, body, &resp); err != nil {
 			return err
 		}
 		for slot, t := range targets {
@@ -1095,14 +1126,6 @@ func (r *Router) MapReduce(collection, jobName string, filter document.D) ([]doc
 		out = append(out, document.D{"_id": k, "value": v})
 	}
 	return out, nil
-}
-
-// wireMap converts a document to its wire form (nil stays nil).
-func wireMap(d document.D) map[string]any {
-	if d == nil {
-		return nil
-	}
-	return map[string]any(d)
 }
 
 func toDoc(v any) (document.D, bool) {

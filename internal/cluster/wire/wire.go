@@ -8,18 +8,18 @@
 // Number fidelity matters on this boundary: documents round-trip through
 // JSON, so decoding always canonicalizes numbers (integral values become
 // int64, the rest float64) — the same canonicalization the datastore
-// applies on insert. Responses that carry documents (DocsResponse,
-// DocResponse, DistinctResponse) travel through the document codec in
-// both directions, which encodes the bytes encoding/json would and
-// decodes straight into normalized trees; the small control messages use
-// encoding/json with json.Number + document.Normalize.
+// applies on insert. Every request (see Request) and every response that
+// carries documents (DocsResponse, DocResponse, DistinctResponse)
+// travels through the document codec in both directions: the encoder
+// writes exactly the bytes encoding/json writes for the struct, and the
+// decoder parses straight into normalized trees. The struct tags are
+// the wire format's specification. Only the small control responses
+// (write acks, health, repl apply, errors) still use encoding/json.
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
@@ -62,10 +62,10 @@ const HeaderReplHead = "X-Repl-Head"
 
 // FindOpts is the wire form of datastore.FindOpts.
 type FindOpts struct {
-	Projection map[string]any `json:"projection,omitempty"`
-	Sort       []string       `json:"sort,omitempty"`
-	Skip       int            `json:"skip,omitempty"`
-	Limit      int            `json:"limit,omitempty"`
+	Projection document.D `json:"projection,omitempty"`
+	Sort       []string   `json:"sort,omitempty"`
+	Skip       int        `json:"skip,omitempty"`
+	Limit      int        `json:"limit,omitempty"`
 	// MaxStaleness (generations) permits follower reads; routing-only,
 	// but it rides the wire form so it lands in result-cache keys.
 	MaxStaleness int `json:"max_staleness,omitempty"`
@@ -90,13 +90,14 @@ func FromFindOpts(o *datastore.FindOpts) *FindOpts {
 	}
 }
 
-// ToFindOpts converts wire options back to store options.
+// ToFindOpts converts decoded wire options back to store options (the
+// projection is already normalized by the decoder).
 func (o *FindOpts) ToFindOpts() *datastore.FindOpts {
 	if o == nil {
 		return nil
 	}
 	return &datastore.FindOpts{
-		Projection:   document.NormalizeDoc(document.D(o.Projection)),
+		Projection:   o.Projection,
 		Sort:         o.Sort,
 		Skip:         o.Skip,
 		Limit:        o.Limit,
@@ -107,8 +108,8 @@ func (o *FindOpts) ToFindOpts() *datastore.FindOpts {
 
 // InsertRequest writes one document to a node.
 type InsertRequest struct {
-	Collection string         `json:"collection"`
-	Doc        map[string]any `json:"doc"`
+	Collection string     `json:"collection"`
+	Doc        document.D `json:"doc"`
 }
 
 // InsertResponse reports the stored id and the node's resulting
@@ -124,8 +125,8 @@ type InsertResponse struct {
 // through the datastore's single-lock batch path, so the whole
 // sub-batch rides one group-commit fsync.
 type InsertManyRequest struct {
-	Collection string           `json:"collection"`
-	Docs       []map[string]any `json:"docs"`
+	Collection string       `json:"collection"`
+	Docs       []document.D `json:"docs"`
 }
 
 // InsertManyResponse reports the assigned ids (in input order) and the
@@ -135,38 +136,20 @@ type InsertManyResponse struct {
 	Gen uint64   `json:"gen,omitempty"`
 }
 
-// BulkOp is the wire form of datastore.BulkOp.
+// BulkOp is the wire form of datastore.BulkOp (same fields, so the two
+// convert into each other directly).
 type BulkOp struct {
-	Op     string         `json:"op"`
-	Doc    map[string]any `json:"doc,omitempty"`
-	Filter map[string]any `json:"filter,omitempty"`
-	Update map[string]any `json:"update,omitempty"`
+	Op     string     `json:"op"`
+	Doc    document.D `json:"doc,omitempty"`
+	Filter document.D `json:"filter,omitempty"`
+	Update document.D `json:"update,omitempty"`
 }
 
-// FromBulkOps converts datastore bulk ops to their wire form.
-func FromBulkOps(ops []datastore.BulkOp) []BulkOp {
-	out := make([]BulkOp, len(ops))
-	for i, op := range ops {
-		out[i] = BulkOp{
-			Op:     op.Op,
-			Doc:    map[string]any(op.Doc),
-			Filter: map[string]any(op.Filter),
-			Update: map[string]any(op.Update),
-		}
-	}
-	return out
-}
-
-// ToBulkOps canonicalizes wire bulk ops back to datastore ops.
-func (ops BulkWriteRequest) ToBulkOps() []datastore.BulkOp {
-	out := make([]datastore.BulkOp, len(ops.Ops))
-	for i, op := range ops.Ops {
-		out[i] = datastore.BulkOp{
-			Op:     op.Op,
-			Doc:    NormalizeMap(op.Doc),
-			Filter: NormalizeMap(op.Filter),
-			Update: NormalizeMap(op.Update),
-		}
+// ToBulkOps converts decoded wire bulk ops back to datastore ops.
+func (r BulkWriteRequest) ToBulkOps() []datastore.BulkOp {
+	out := make([]datastore.BulkOp, len(r.Ops))
+	for i, op := range r.Ops {
+		out[i] = datastore.BulkOp(op)
 	}
 	return out
 }
@@ -217,9 +200,9 @@ func FromBulkResult(r datastore.BulkResult, gen uint64) BulkWriteResponse {
 
 // FindRequest runs a filtered read on a node.
 type FindRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
-	Opts       *FindOpts      `json:"opts,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
+	Opts       *FindOpts  `json:"opts,omitempty"`
 }
 
 // DocsResponse carries a result set. Decoded documents are normalized
@@ -291,8 +274,8 @@ func decodeField(b []byte, name string) (any, error) {
 
 // CountRequest counts matching documents.
 type CountRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // CountResponse reports a count (also used for Remove, where Gen
@@ -334,10 +317,10 @@ func (r *DocResponse) decodeJSON(b []byte) error {
 
 // UpdateRequest applies an update on a node.
 type UpdateRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
-	Update     map[string]any `json:"update"`
-	Many       bool           `json:"many"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
+	Update     document.D `json:"update"`
+	Many       bool       `json:"many"`
 }
 
 // UpdateResponse reports what the update did, plus the node's resulting
@@ -350,21 +333,21 @@ type UpdateResponse struct {
 
 // RemoveRequest deletes matching documents.
 type RemoveRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // AggregateRequest runs a (pre-sanitized) pipeline on a node.
 type AggregateRequest struct {
-	Collection string           `json:"collection"`
-	Pipeline   []map[string]any `json:"pipeline"`
+	Collection string       `json:"collection"`
+	Pipeline   []document.D `json:"pipeline"`
 }
 
 // DistinctRequest lists distinct values of a path.
 type DistinctRequest struct {
-	Collection string         `json:"collection"`
-	Path       string         `json:"path"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Path       string     `json:"path"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // DistinctResponse carries the distinct values.
@@ -395,9 +378,9 @@ func (r *DistinctResponse) decodeJSON(b []byte) error {
 // shard of a collection. Jobs ship with the binary (Go functions cannot
 // cross the wire); the name selects one from the shared registry.
 type MapReduceRequest struct {
-	Collection string         `json:"collection"`
-	Job        string         `json:"job"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Job        string     `json:"job"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // EnsureIndexRequest creates a secondary index on a node. Path creates
@@ -411,9 +394,9 @@ type EnsureIndexRequest struct {
 
 // ExplainRequest asks a node for its planner's decision on a query.
 type ExplainRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
-	Opts       *FindOpts      `json:"opts,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
+	Opts       *FindOpts  `json:"opts,omitempty"`
 }
 
 // OKResponse acknowledges a side-effect-only request.
@@ -446,46 +429,20 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// DecodeJSON decodes JSON preserving number fidelity (json.Number), so a
-// subsequent document.Normalize restores int64/float64 exactly as the
-// datastore would on a local insert.
-func DecodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
-}
-
 // codecDecoder is implemented by the document-carrying responses, which
 // decode through the document codec into already-normalized documents.
 type codecDecoder interface {
 	decodeJSON(b []byte) error
 }
 
-// DecodeJSONBytes is DecodeJSON over a byte slice; document-carrying
-// responses take the document codec instead.
+// DecodeJSONBytes decodes a node response: document-carrying responses
+// take the document codec, control responses encoding/json.
 func DecodeJSONBytes(b []byte, v any) error {
 	if c, ok := v.(codecDecoder); ok {
 		return c.decodeJSON(b)
 	}
-	return DecodeJSON(bytes.NewReader(b), v)
-}
-
-// NormalizeMap canonicalizes a decoded wire map into a document.
-func NormalizeMap(m map[string]any) document.D {
-	if m == nil {
-		return nil
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("wire: decode: %w", err)
 	}
-	return document.NormalizeDoc(document.D(m))
-}
-
-// NormalizePipeline canonicalizes a decoded wire pipeline.
-func NormalizePipeline(stages []map[string]any) []document.D {
-	out := make([]document.D, len(stages))
-	for i, st := range stages {
-		out[i] = document.NormalizeDoc(document.D(st))
-	}
-	return out
+	return nil
 }

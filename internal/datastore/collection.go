@@ -54,11 +54,15 @@ type Collection struct {
 	name  string
 	store *Store
 
-	mu      sync.RWMutex
-	docs    map[string]document.D
-	order   []string       // insertion order of ids, for stable scans
-	seq     map[string]int // id -> insertion sequence, for candidate sorting
-	seqNext int
+	mu   sync.RWMutex
+	docs map[string]document.D
+	// order lists ids in insertion order, for stable scans. Removing an
+	// id only marks its slot dead; once dead slots outnumber live ones
+	// they are compacted away, so a removal costs amortized O(1) and a
+	// scan stays linear in the live count.
+	order   []orderSlot
+	pos     map[string]int // id -> its slot in order (rises with insertion)
+	dead    int            // dead slots in order
 	indexes map[string]*index
 	ordered map[string]*orderedIndex // canonical name -> sorted compound index
 	bytes   int
@@ -76,7 +80,7 @@ func newCollection(name string, store *Store) *Collection {
 		name:    name,
 		store:   store,
 		docs:    make(map[string]document.D),
-		seq:     make(map[string]int),
+		pos:     make(map[string]int),
 		indexes: make(map[string]*index),
 		ordered: make(map[string]*orderedIndex),
 	}
@@ -213,9 +217,8 @@ func (c *Collection) InsertMany(docs []document.D) ([]string, error) {
 func (c *Collection) insertLocked(id string, d document.D) {
 	noteOID(id)
 	c.docs[id] = d
-	c.order = append(c.order, id)
-	c.seq[id] = c.seqNext
-	c.seqNext++
+	c.pos[id] = len(c.order)
+	c.order = append(c.order, orderSlot{id: id})
 	c.bytes += document.ApproxSize(d)
 	for _, idx := range c.indexes {
 		idx.add(id, d)
@@ -232,13 +235,11 @@ func (c *Collection) removeLocked(id string) {
 		return
 	}
 	delete(c.docs, id)
-	delete(c.seq, id)
 	c.bytes -= document.ApproxSize(d)
-	for i, oid := range c.order {
-		if oid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
+	c.order[c.pos[id]] = orderSlot{dead: true}
+	delete(c.pos, id)
+	if c.dead++; c.dead > len(c.order)/2 {
+		c.compactOrderLocked()
 	}
 	for _, idx := range c.indexes {
 		idx.remove(id, d)
@@ -247,6 +248,27 @@ func (c *Collection) removeLocked(id string) {
 		ox.remove(id, d)
 	}
 	c.bumpGenLocked()
+}
+
+// orderSlot is one entry of a collection's insertion order.
+type orderSlot struct {
+	id   string
+	dead bool // removed; skipped by scans until compaction
+}
+
+// compactOrderLocked drops the dead slots from order, keeping insertion
+// order, and renumbers pos. Caller holds c.mu exclusively.
+func (c *Collection) compactOrderLocked() {
+	live := c.order[:0]
+	for _, s := range c.order {
+		if !s.dead {
+			c.pos[s.id] = len(live)
+			live = append(live, s)
+		}
+	}
+	clear(c.order[len(live):])
+	c.order = live
+	c.dead = 0
 }
 
 // replaceLocked swaps the stored document for id, maintaining indexes.

@@ -268,8 +268,11 @@ func (c *Collection) idLookupLocked(flt *query.Filter) ([]string, bool) {
 func (c *Collection) execPlanLocked(flt *query.Filter, plan *queryPlan, maxMatches int) []string {
 	var out []string
 	if plan.mode != "index" || plan.access == nil {
-		for _, id := range c.order {
-			if flt.Matches(c.docs[id]) {
+		for _, slot := range c.order {
+			if slot.dead {
+				continue
+			}
+			if id := slot.id; flt.Matches(c.docs[id]) {
 				out = append(out, id)
 				if maxMatches > 0 && len(out) >= maxMatches {
 					break
@@ -280,13 +283,13 @@ func (c *Collection) execPlanLocked(flt *query.Filter, plan *queryPlan, maxMatch
 	}
 	candidates := c.candidateIDsLocked(plan.access)
 	// Verify only the candidates, restoring insertion order via the
-	// per-id sequence numbers (cheaper than walking the whole order
+	// per-id order positions (cheaper than walking the whole order
 	// slice when the index is selective).
 	ids := make([]string, 0, len(candidates))
 	for id := range candidates {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return c.seq[ids[i]] < c.seq[ids[j]] })
+	sort.Slice(ids, func(i, j int) bool { return c.pos[ids[i]] < c.pos[ids[j]] })
 	for _, id := range ids {
 		if flt.Matches(c.docs[id]) {
 			out = append(out, id)

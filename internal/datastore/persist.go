@@ -63,6 +63,11 @@ const (
 	journalMeta journalOp = "m"
 )
 
+// journalRecord is one journal line. The struct tags are the format's
+// specification: appendRecord writes exactly the bytes json.Marshal
+// writes for the struct. Writers set Doc to the document codec's
+// encoding (ToJSON), which json.Marshal would copy unchanged;
+// parseRecord reads a line back and sets doc instead.
 type journalRecord struct {
 	Op         journalOp       `json:"op"`
 	Collection string          `json:"c,omitempty"`
@@ -72,6 +77,117 @@ type journalRecord struct {
 	// Gens are minted under the journal mutex, so journal file order is
 	// generation order. Zero on legacy (pre-replication) records.
 	Gen uint64 `json:"g,omitempty"`
+
+	// doc is the parsed document of a record read back (nil when the
+	// line has none).
+	doc document.D
+}
+
+// appendRecordHead appends rec's JSON encoding up to, not including, its
+// generation and closing brace; appendRecordTail finishes it. The split
+// lets enqueue frame everything but the generation before it mints one.
+func appendRecordHead(dst []byte, rec journalRecord) []byte {
+	dst = append(dst, `{"op":`...)
+	dst = document.AppendString(dst, string(rec.Op))
+	if rec.Collection != "" {
+		dst = append(dst, `,"c":`...)
+		dst = document.AppendString(dst, rec.Collection)
+	}
+	if rec.ID != "" {
+		dst = append(dst, `,"id":`...)
+		dst = document.AppendString(dst, rec.ID)
+	}
+	if len(rec.Doc) > 0 {
+		dst = append(dst, `,"doc":`...)
+		dst = append(dst, rec.Doc...)
+	}
+	return dst
+}
+
+func appendRecordTail(dst []byte, gen uint64) []byte {
+	if gen != 0 {
+		dst = append(dst, `,"g":`...)
+		dst = strconv.AppendUint(dst, gen, 10)
+	}
+	return append(dst, '}')
+}
+
+// appendRecord appends rec's JSON encoding.
+func appendRecord(dst []byte, rec journalRecord) []byte {
+	return appendRecordTail(appendRecordHead(dst, rec), rec.Gen)
+}
+
+// appendFrame appends rec as one checksum-framed journal line,
+// "%08x <json>" without the newline, in a single pass: the record is
+// appended behind a placeholder checksum that is then filled in.
+func appendFrame(dst []byte, rec journalRecord) []byte {
+	start := len(dst)
+	dst = append(dst, frameGap...)
+	dst = appendRecord(dst, rec)
+	putChecksum(dst[start:], crc32.Checksum(dst[start+len(frameGap):], crcTable))
+	return dst
+}
+
+// frameGap is the checksum field's placeholder: eight hex digits and a
+// space.
+const frameGap = "00000000 "
+
+// putChecksum writes crc as the eight lowercase hex digits that open a
+// frame.
+func putChecksum(frame []byte, crc uint32) {
+	const hex = "0123456789abcdef"
+	for i := 7; i >= 0; i-- {
+		frame[i] = hex[crc&0xf]
+		crc >>= 4
+	}
+}
+
+// parseRecord decodes one journal payload with the document codec, so
+// the record's document comes back as a normalized tree in one pass.
+// Callers parsing many records share one Parser, so the documents they
+// load share their key strings.
+// Fields of the wrong JSON type make the line invalid, and so does a
+// generation beyond int64 (the codec's integer range; stores mint one
+// generation per write and never get there).
+func parseRecord(ps *document.Parser, payload []byte) (journalRecord, error) {
+	v, err := ps.Parse(payload)
+	if err != nil {
+		return journalRecord{}, err
+	}
+	m, ok := v.(map[string]any)
+	if !ok {
+		return journalRecord{}, fmt.Errorf("datastore: journal record is not an object")
+	}
+	bad := ""
+	str := func(k string) string {
+		s, ok := m[k].(string)
+		if !ok && m[k] != nil {
+			bad = k
+		}
+		return s
+	}
+	rec := journalRecord{Op: journalOp(str("op")), Collection: str("c"), ID: str("id")}
+	switch x := m["doc"].(type) {
+	case map[string]any:
+		rec.doc = x
+	case nil:
+	default:
+		bad = "doc"
+	}
+	switch x := m["g"].(type) {
+	case int64:
+		if x < 0 {
+			bad = "g"
+		}
+		rec.Gen = uint64(x)
+	case nil:
+	default:
+		bad = "g"
+	}
+	if bad != "" {
+		return journalRecord{}, fmt.Errorf("datastore: journal record field %q has the wrong type", bad)
+	}
+	return rec, nil
 }
 
 // indexDef is the Doc payload of journalIndex / journalIndexDrop records.
@@ -205,13 +321,13 @@ func SnapshotFile(dir string) string { return snapshotPath(dir) }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeLine frames one journal record: "%08x <json>\n".
-func encodeLine(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+10)
-	out = append(out, fmt.Sprintf("%08x ", crc32.Checksum(payload, crcTable))...)
-	out = append(out, payload...)
-	out = append(out, '\n')
-	return out
+// decodeRecord validates one journal line's frame and parses its record.
+func decodeRecord(ps *document.Parser, line []byte) (journalRecord, error) {
+	payload, err := decodeLine(line)
+	if err != nil {
+		return journalRecord{}, err
+	}
+	return parseRecord(ps, payload)
 }
 
 // decodeLine validates and strips the checksum frame. Legacy lines
@@ -290,18 +406,19 @@ func (j *journal) syncTimed(f *os.File) error {
 	return err
 }
 
-// stage frames rec and enqueues it for the next group commit, minting
-// its replication generation. Callers invoke stage while holding the
-// owning collection's write lock, so enqueue order — which is also
-// generation order and, because batches drain FIFO, journal file order —
-// provably matches in-memory apply order. The returned ticket must be
-// handed to commit (after the collection lock is released) to make the
-// record durable; nil means there was nothing to stage.
-func (j *journal) stage(rec journalRecord) *commitTicket {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil
-	}
+// enqueue finishes one framed line — frameGap plus the record up to its
+// generation — and queues it for the next group commit. Callers invoke
+// it while holding the owning collection's write lock, so enqueue order
+// — which is also generation order and, because batches drain FIFO,
+// journal file order — provably matches in-memory apply order. The
+// returned ticket must be handed to commit (after the collection lock is
+// released) to make the record durable.
+//
+// The record is framed once: its head is checksummed outside qmu; under
+// qmu the generation is minted, appended and folded into the checksum.
+func (j *journal) enqueue(line []byte, op journalOp, gen uint64) *commitTicket {
+	crc := crc32.Checksum(line[len(frameGap):], crcTable)
+	t := &commitTicket{ch: make(chan struct{})}
 	j.qmu.Lock()
 	defer j.qmu.Unlock()
 	// Mint the generation atomically with enqueueing: a dropped append
@@ -309,15 +426,13 @@ func (j *journal) stage(rec journalRecord) *commitTicket {
 	// followers detect the hole (head advanced, entry unavailable) and
 	// fall back to a snapshot copy instead of believing they are caught
 	// up.
-	if j.repl != nil && rec.Gen == 0 && rec.Op != journalMeta {
-		rec.Gen = j.repl.next()
-		b, err = json.Marshal(rec)
-		if err != nil {
-			return nil
-		}
+	if j.repl != nil && gen == 0 && op != journalMeta {
+		gen = j.repl.next()
 	}
-	t := &commitTicket{ch: make(chan struct{})}
-	j.pending = append(j.pending, pendingFrame{line: encodeLine(b), t: t})
+	head := len(line)
+	line = appendRecordTail(line, gen)
+	putChecksum(line, crc32.Update(crc, crcTable, line[head:]))
+	j.pending = append(j.pending, pendingFrame{line: append(line, '\n'), t: t})
 	return t
 }
 
@@ -451,19 +566,26 @@ func (j *journal) recordWriteErrLocked(err error) {
 }
 
 // stageWrite frames one mutation record for the group commit. Callers
-// hold the owning collection's write lock; see stage. A document that
+// hold the owning collection's write lock; see enqueue. A document that
 // cannot be encoded yields a ticket already failed with that error, so
 // the write is never acknowledged without its record.
 func (j *journal) stageWrite(coll string, op journalOp, id string, doc document.D) *commitTicket {
-	var raw json.RawMessage
-	if doc != nil {
-		b, err := doc.ToJSON()
-		if err != nil {
-			return failedTicket(fmt.Errorf("datastore: journal %s/%s: %w", coll, id, err))
-		}
-		raw = b
+	// 1 KiB holds a typical record; larger documents grow the line.
+	line, err := appendWriteHead(make([]byte, 0, 1024), coll, op, id, doc)
+	if err != nil {
+		return failedTicket(fmt.Errorf("datastore: journal %s/%s: %w", coll, id, err))
 	}
-	return j.stage(journalRecord{Op: op, Collection: coll, ID: id, Doc: raw})
+	return j.enqueue(line, op, 0)
+}
+
+// appendWriteHead appends frameGap and one mutation's record up to its
+// generation, encoding doc (when non-nil) straight into the line.
+func appendWriteHead(dst []byte, coll string, op journalOp, id string, doc document.D) ([]byte, error) {
+	dst = appendRecordHead(append(dst, frameGap...), journalRecord{Op: op, Collection: coll, ID: id})
+	if doc == nil {
+		return dst, nil
+	}
+	return document.AppendJSON(append(dst, `,"doc":`...), map[string]any(doc))
 }
 
 // failedTicket is a commit ticket resolved with err before any write.
@@ -474,7 +596,7 @@ func failedTicket(err error) *commitTicket {
 }
 
 func (j *journal) logDrop(coll string) {
-	_ = j.commit(j.stage(journalRecord{Op: journalDrop, Collection: coll}))
+	_ = j.commit(j.stageWrite(coll, journalDrop, "", nil))
 }
 
 // replay loads the snapshot then re-applies the journal into s. Called
@@ -531,6 +653,7 @@ func replayFile(s *Store, path string, repairTail bool) (int, repairInfo, error)
 		line    int
 		applied int
 		bad     []badLine
+		ps      document.Parser
 	)
 	for {
 		raw, rerr := r.ReadBytes('\n')
@@ -554,11 +677,7 @@ func replayFile(s *Store, path string, repairTail bool) (int, repairInfo, error)
 		// A torn (newline-less) final line can still be complete — e.g.
 		// only the '\n' itself was lost — so every line gets the same
 		// treatment: accept iff checksum and JSON both decode.
-		payload, derr := decodeLine(data)
-		var rec journalRecord
-		if derr == nil {
-			derr = json.Unmarshal(payload, &rec)
-		}
+		rec, derr := decodeRecord(&ps, data)
 		if derr != nil {
 			bad = append(bad, badLine{line: line, offset: lineStart, err: derr})
 			if rerr != nil {
@@ -612,9 +731,9 @@ func applyRecord(s *Store, rec journalRecord) error {
 	c := s.C(rec.Collection)
 	switch rec.Op {
 	case journalInsert, journalUpdate:
-		d, err := document.FromJSON(rec.Doc)
-		if err != nil {
-			return fmt.Errorf("doc: %w", err)
+		d := rec.doc
+		if d == nil {
+			return fmt.Errorf("doc: %s record for %q has no document", rec.Op, rec.ID)
 		}
 		c.mu.Lock()
 		if _, exists := c.docs[rec.ID]; exists {
@@ -628,9 +747,15 @@ func applyRecord(s *Store, rec journalRecord) error {
 		c.removeLocked(rec.ID)
 		c.mu.Unlock()
 	case journalIndex, journalIndexDrop:
+		// Index records are rare and tiny: read the definition through
+		// its struct tags.
 		var def indexDef
-		if len(rec.Doc) > 0 {
-			if err := json.Unmarshal(rec.Doc, &def); err != nil {
+		if rec.doc != nil {
+			b, err := rec.doc.ToJSON()
+			if err == nil {
+				err = json.Unmarshal(b, &def)
+			}
+			if err != nil {
 				return fmt.Errorf("index def: %w", err)
 			}
 		}
@@ -704,13 +829,8 @@ func (j *journal) snapshot(s *Store) error {
 	var head uint64
 	if j.repl != nil {
 		head = j.repl.current()
-		mb, merr := json.Marshal(journalRecord{Op: journalMeta, Gen: head})
-		if merr != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("datastore: snapshot meta: %w", merr)
-		}
-		if _, werr := w.Write(encodeLine(mb)); werr != nil {
+		meta := appendFrame(nil, journalRecord{Op: journalMeta, Gen: head})
+		if _, werr := w.Write(append(meta, '\n')); werr != nil {
 			f.Close()
 			os.Remove(tmp)
 			return fmt.Errorf("datastore: snapshot meta: %w", werr)
@@ -794,29 +914,29 @@ func (j *journal) snapshot(s *Store) error {
 func snapshotCollection(w *bufio.Writer, c *Collection) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	var line []byte
 	// Index definitions first, so replay has them in place before the
 	// documents arrive (backfill-on-create is then a no-op and every
 	// insert maintains the index incrementally).
 	for _, rec := range c.indexDefRecordsLocked() {
-		rb, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("datastore: snapshot index encode: %w", err)
-		}
-		if _, err := w.Write(encodeLine(rb)); err != nil {
+		line = append(appendFrame(line[:0], rec), '\n')
+		if _, err := w.Write(line); err != nil {
 			return fmt.Errorf("datastore: snapshot write: %w", err)
 		}
 	}
-	for _, id := range c.order {
-		b, err := c.docs[id].ToJSON()
-		if err != nil {
+	var doc []byte
+	for _, slot := range c.order {
+		if slot.dead {
+			continue
+		}
+		id := slot.id
+		var err error
+		if doc, err = document.AppendJSON(doc[:0], map[string]any(c.docs[id])); err != nil {
 			return fmt.Errorf("datastore: snapshot doc encode: %w", err)
 		}
-		rec := journalRecord{Op: journalInsert, Collection: c.name, ID: id, Doc: b}
-		rb, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("datastore: snapshot encode: %w", err)
-		}
-		if _, err := w.Write(encodeLine(rb)); err != nil {
+		rec := journalRecord{Op: journalInsert, Collection: c.name, ID: id, Doc: doc}
+		line = append(appendFrame(line[:0], rec), '\n')
+		if _, err := w.Write(line); err != nil {
 			return fmt.Errorf("datastore: snapshot write: %w", err)
 		}
 	}

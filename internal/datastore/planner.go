@@ -587,7 +587,7 @@ func (c *Collection) orderedEmitLocked(acc *planAccess, reverse bool, fn func(id
 		for id := range b.ids {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return c.seq[ids[i]] < c.seq[ids[j]] })
+		sort.Slice(ids, func(i, j int) bool { return c.pos[ids[i]] < c.pos[ids[j]] })
 		for _, id := range ids {
 			if !fn(id) {
 				return false

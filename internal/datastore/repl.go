@@ -20,9 +20,9 @@ package datastore
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sync"
 
@@ -107,15 +107,6 @@ func (rs *replState) enable(capacity int) {
 	rs.mu.Unlock()
 }
 
-// frameRecord marshals and checksums one record, newline stripped.
-func frameRecord(rec journalRecord) ([]byte, error) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("datastore: repl frame: %w", err)
-	}
-	return bytes.TrimSuffix(encodeLine(b), []byte("\n")), nil
-}
-
 // record mints a generation for one local mutation and stores its framed
 // line in the ring. No-op unless enabled.
 func (rs *replState) record(coll string, op journalOp, id string, doc document.D) {
@@ -124,21 +115,13 @@ func (rs *replState) record(coll string, op journalOp, id string, doc document.D
 	if !rs.enabled {
 		return
 	}
-	var raw json.RawMessage
-	if doc != nil {
-		b, err := doc.ToJSON()
-		if err != nil {
-			return
-		}
-		raw = b
-	}
-	rs.seq++
-	line, err := frameRecord(journalRecord{Op: op, Collection: coll, ID: id, Doc: raw, Gen: rs.seq})
+	line, err := appendWriteHead(nil, coll, op, id, doc)
 	if err != nil {
-		// The generation stays burned; the hole forces followers to a
-		// snapshot copy rather than a silent divergence.
 		return
 	}
+	rs.seq++
+	line = appendRecordTail(line, rs.seq)
+	putChecksum(line, crc32.Checksum(line[len(frameGap):], crcTable))
 	rs.appendRingLocked(rs.seq, line)
 }
 
@@ -231,16 +214,13 @@ func (s *Store) ReplTail(from uint64, max int) ([][]byte, uint64, error) {
 	}
 	defer f.Close()
 	var out [][]byte
+	var ps document.Parser
 	r := bufio.NewReaderSize(f, 1<<20)
 	for {
 		raw, rerr := r.ReadBytes('\n')
 		data := bytes.TrimSuffix(raw, []byte("\n"))
 		if len(data) > 0 {
-			payload, derr := decodeLine(data)
-			var rec journalRecord
-			if derr == nil {
-				derr = json.Unmarshal(payload, &rec)
-			}
+			rec, derr := decodeRecord(&ps, data)
 			if derr != nil {
 				break // torn tail (or mid-append): serve the good prefix
 			}
@@ -279,12 +259,9 @@ func (s *Store) ApplyReplEntries(lines [][]byte) (applied int, gen uint64, torn 
 		}
 		return applied, s.repl.current(), torn, err
 	}
+	var ps document.Parser
 	for _, line := range lines {
-		payload, derr := decodeLine(line)
-		var rec journalRecord
-		if derr == nil {
-			derr = json.Unmarshal(payload, &rec)
-		}
+		rec, derr := decodeRecord(&ps, line)
 		if derr != nil {
 			return finish(applied, true, nil)
 		}
@@ -326,25 +303,20 @@ func (s *Store) ReplSnapshotEntries() ([][]byte, uint64, error) {
 		// so its indexes are maintained incrementally from the same
 		// stream that builds its data.
 		for _, rec := range c.indexDefRecordsLocked() {
-			line, err := frameRecord(rec)
-			if err != nil {
-				c.mu.RUnlock()
-				return nil, head, err
-			}
-			out = append(out, line)
+			out = append(out, appendFrame(nil, rec))
 		}
-		for _, id := range c.order {
-			b, err := c.docs[id].ToJSON()
-			if err != nil {
+		var doc []byte
+		for _, slot := range c.order {
+			if slot.dead {
+				continue
+			}
+			id := slot.id
+			var err error
+			if doc, err = document.AppendJSON(doc[:0], map[string]any(c.docs[id])); err != nil {
 				c.mu.RUnlock()
 				return nil, head, fmt.Errorf("datastore: repl snapshot encode: %w", err)
 			}
-			line, err := frameRecord(journalRecord{Op: journalInsert, Collection: c.name, ID: id, Doc: b})
-			if err != nil {
-				c.mu.RUnlock()
-				return nil, head, err
-			}
-			out = append(out, line)
+			out = append(out, appendFrame(nil, journalRecord{Op: journalInsert, Collection: c.name, ID: id, Doc: doc}))
 		}
 		c.mu.RUnlock()
 	}
@@ -359,12 +331,9 @@ func (s *Store) ReplReset(lines [][]byte, upto uint64) error {
 	s.mu.Lock()
 	s.collections = make(map[string]*Collection)
 	s.mu.Unlock()
+	var ps document.Parser
 	for _, line := range lines {
-		payload, derr := decodeLine(line)
-		var rec journalRecord
-		if derr == nil {
-			derr = json.Unmarshal(payload, &rec)
-		}
+		rec, derr := decodeRecord(&ps, line)
 		if derr != nil {
 			return fmt.Errorf("datastore: repl reset: corrupt snapshot line: %w", derr)
 		}

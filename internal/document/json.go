@@ -48,6 +48,10 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 	return out, nil
 }
 
+// AppendString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it.
+func AppendString(dst []byte, s string) []byte { return appendString(dst, s) }
+
 // ToJSON encodes the document as compact JSON with sorted keys, byte for
 // byte what encoding/json produces. Non-finite numbers are an error.
 func (d D) ToJSON() ([]byte, error) {
@@ -72,7 +76,23 @@ func FromJSON(data []byte) (D, error) {
 
 // ParseJSON decodes one JSON value into normalized document values.
 func ParseJSON(data []byte) (any, error) {
-	p := parser{data: data}
+	var p Parser
+	return p.Parse(data)
+}
+
+// A Parser decodes JSON values like ParseJSON, keeping its object-key
+// intern table and scratch stacks from one value to the next: values
+// parsed by one Parser share the strings of the keys they repeat (a
+// journal replay parses thousands of records with the same few keys).
+// The zero value is ready to use; a Parser is not safe for concurrent
+// use.
+type Parser struct{ p parser }
+
+// Parse decodes one JSON value into normalized document values.
+func (ps *Parser) Parse(data []byte) (any, error) {
+	p := &ps.p
+	p.data, p.pos = data, 0
+	p.members, p.elems = p.members[:0], p.elems[:0]
 	p.skipSpace()
 	v, err := p.value(0)
 	if err != nil {

@@ -71,6 +71,7 @@ go test ./internal/query/ -run '^$' -fuzz '^FuzzUpdateApply$' -fuzztime "$FUZZTI
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentPath$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentJSON$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzKeyEncodingOrder$' -fuzztime "$FUZZTIME"
+go test ./internal/cluster/wire/ -run '^$' -fuzz '^FuzzWireRequest$' -fuzztime "$FUZZTIME"
 
 # Cluster e2e smoke: two real shard-node processes, a router process that
 # loads the corpus over the wire, and a routed query through the public
