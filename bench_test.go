@@ -6,9 +6,11 @@ package matproj
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"matproj/internal/cluster"
 	"matproj/internal/datastore"
 	"matproj/internal/dfs"
 	"matproj/internal/dft"
@@ -19,7 +21,6 @@ import (
 	"matproj/internal/mapreduce"
 	"matproj/internal/obs"
 	"matproj/internal/queryengine"
-	"matproj/internal/shard"
 )
 
 // benchScale keeps per-iteration work small enough for stable timing.
@@ -416,22 +417,32 @@ func BenchmarkMapReduceStaged(b *testing.B) {
 func BenchmarkShardedQuery(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cl, err := shard.NewCluster(shard.Options{Shards: shards})
+			groups := make([][]string, shards)
+			for gi := range groups {
+				srv := httptest.NewServer(cluster.NewNode(fmt.Sprintf("node-%d", gi), datastore.MustOpenMemory(), nil))
+				b.Cleanup(srv.Close)
+				groups[gi] = []string{srv.URL}
+			}
+			r, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups})
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < 8000; i++ {
-				if _, err := cl.Insert("materials", document.D{
+			b.Cleanup(r.Close)
+			materials := r.C("materials")
+			docs := make([]document.D, 8000)
+			for i := range docs {
+				docs[i] = document.D{
 					"nelectrons": int64(30 + i%400),
 					"formula":    fmt.Sprintf("F%d", i),
-				}); err != nil {
-					b.Fatal(err)
 				}
+			}
+			if _, err := materials.InsertMany(docs); err != nil {
+				b.Fatal(err)
 			}
 			filter := document.MustFromJSON(`{"nelectrons": {"$lte": 200}}`)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.FindAll("materials", filter, nil, shard.ReadPrimary); err != nil {
+				if _, err := materials.FindAll(filter, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

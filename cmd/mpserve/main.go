@@ -210,7 +210,7 @@ func runRouter(addr, peers string, shards, nMaterials int, seed int64, healthEve
 	}
 	log.Printf("loaded %d documents onto %d shard group(s)", copied, shards)
 	for _, spec := range oindexes {
-		router.EnsureOrderedIndex(spec.collection, spec.paths...)
+		router.EnsureIndex(spec.collection, spec.paths...)
 		log.Printf("ordered index on %s(%s) created on every shard member",
 			spec.collection, strings.Join(spec.paths, ","))
 	}
@@ -247,7 +247,7 @@ func runStandalone(addr string, nMaterials int, dataDir string, seed int64,
 	}
 	d.Engine.SetCache(rc)
 	for _, spec := range oindexes {
-		d.Store.C(spec.collection).EnsureOrderedIndex(spec.paths...)
+		d.Store.C(spec.collection).EnsureIndex(spec.paths...)
 		log.Printf("ordered index on %s(%s)", spec.collection, strings.Join(spec.paths, ","))
 	}
 	st := d.Store.Stats()

@@ -12,7 +12,6 @@ import (
 	"matproj/internal/cluster/wire"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
-	"matproj/internal/shard"
 )
 
 // InsertMany routes a batch of documents to their shard groups as one
@@ -29,23 +28,9 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 	groupDocs := make([][]document.D, len(r.groups))
 	groupIdx := make([][]int, len(r.groups))
 	for i, doc := range docs {
-		d := document.NormalizeDoc(doc)
-		var gi int
-		if r.shardKey == "_id" {
-			id, has := d["_id"].(string)
-			if !has {
-				// Mint at the router so every replica stores an identical
-				// document (same contract as Insert).
-				id = shard.MintID()
-				d["_id"] = id
-			}
-			gi = shard.HashShard(id, len(r.groups))
-		} else {
-			keyVal, ok := d.Get(r.shardKey)
-			if !ok {
-				return nil, fmt.Errorf("cluster: document %d missing shard key %q", i, r.shardKey)
-			}
-			gi = shard.HashShard(keyVal, len(r.groups))
+		d, gi, err := r.placeDoc(doc)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: document %d: %w", i, err)
 		}
 		groupDocs[gi] = append(groupDocs[gi], d)
 		groupIdx[gi] = append(groupIdx[gi], i)
@@ -213,24 +198,18 @@ func mergeBulkOpResult(dst *datastore.BulkOpResult, src wire.BulkOpResult) {
 // routeBulkOp decides where one op runs.
 func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
 	rt := bulkRoute{op: wire.BulkOp(op)}
+	// An update body with invalid UTF-8 would reach the nodes renamed by
+	// the wire encoding (see placeDoc).
+	if err := document.CheckStorable(op.Update); err != nil {
+		rt.err = err.Error()
+		return rt
+	}
 	switch op.Op {
 	case datastore.BulkInsert:
-		d := document.NormalizeDoc(op.Doc)
-		var gi int
-		if r.shardKey == "_id" {
-			id, has := d["_id"].(string)
-			if !has {
-				id = shard.MintID()
-				d["_id"] = id
-			}
-			gi = shard.HashShard(id, len(r.groups))
-		} else {
-			keyVal, ok := d.Get(r.shardKey)
-			if !ok {
-				rt.err = fmt.Sprintf("cluster: document missing shard key %q", r.shardKey)
-				return rt
-			}
-			gi = shard.HashShard(keyVal, len(r.groups))
+		d, gi, err := r.placeDoc(op.Doc)
+		if err != nil {
+			rt.err = err.Error()
+			return rt
 		}
 		rt.op.Doc = map[string]any(d)
 		rt.targets = []int{gi}

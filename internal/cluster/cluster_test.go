@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -460,5 +461,194 @@ func TestScatterMetrics(t *testing.T) {
 	}
 	if found != 4 {
 		t.Errorf("per-shard latency histograms = %d, want 4", found)
+	}
+}
+
+func TestNewRouterValidation(t *testing.T) {
+	if _, err := cluster.NewRouter(cluster.RouterOptions{}); err == nil {
+		t.Error("router with no shard groups accepted")
+	}
+}
+
+// TestRoutedShardKeyRouting places documents by a non-_id shard key: each
+// key value lives on exactly one group, a read pinning the key fans out
+// to that group alone, and a document without the key is refused.
+func TestRoutedShardKeyRouting(t *testing.T) {
+	reg := obs.NewRegistry()
+	var groups [][]string
+	var nodes []*cluster.Node
+	for gi := 0; gi < 4; gi++ {
+		n := cluster.NewNode(fmt.Sprintf("node-%d", gi), datastore.MustOpenMemory(), reg)
+		srv := httptest.NewServer(n)
+		t.Cleanup(srv.Close)
+		groups = append(groups, []string{srv.URL})
+		nodes = append(nodes, n)
+	}
+	r, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups, ShardKey: "chemsys", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	routed := r.C("materials")
+	for i := 0; i < 40; i++ {
+		if _, err := routed.Insert(document.D{"chemsys": fmt.Sprintf("sys%d", i%4), "n": int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holding := 0
+	for _, n := range nodes {
+		c, err := n.Store().C("materials").Count(document.D{"chemsys": "sys1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c > 0 {
+			holding++
+			if c != 10 {
+				t.Errorf("group holding sys1 has %d of its 10 documents", c)
+			}
+		}
+	}
+	if holding != 1 {
+		t.Errorf("sys1 spans %d groups, want 1", holding)
+	}
+	fanout := reg.Counter("cluster_scatter_fanout_total").Value()
+	docs, err := routed.FindAll(document.D{"chemsys": "sys1"}, nil)
+	if err != nil || len(docs) != 10 {
+		t.Fatalf("pinned read = %d docs (err %v), want 10", len(docs), err)
+	}
+	if got := reg.Counter("cluster_scatter_fanout_total").Value(); got != fanout+1 {
+		t.Errorf("pinned read fanned out to %d groups, want 1", got-fanout)
+	}
+	if _, err := routed.Insert(document.D{"n": int64(1)}); err == nil {
+		t.Error("document without the shard key accepted")
+	}
+}
+
+// TestRoutedBadFilterPropagates checks that a malformed filter or sort
+// comes back to the router's caller as an error, not an empty result.
+func TestRoutedBadFilterPropagates(t *testing.T) {
+	tc := startCluster(t, 2, 0)
+	routed := tc.router.C("materials")
+	seedMaterials(t, routed, 10)
+	bad := document.D{"$bogus": int64(1)}
+	if _, err := routed.FindAll(bad, nil); err == nil {
+		t.Error("bad filter accepted")
+	}
+	if _, err := routed.Count(bad); err == nil {
+		t.Error("bad count filter accepted")
+	}
+	if _, err := routed.FindAll(nil, &datastore.FindOpts{Sort: []string{""}}); err == nil {
+		t.Error("bad sort accepted")
+	}
+}
+
+// TestUpdateAndRemoveReplicate checks that routed updates and removes
+// reach every member of every group: afterwards each member holds the
+// same documents as its group's primary.
+func TestUpdateAndRemoveReplicate(t *testing.T) {
+	tc := startCluster(t, 2, 2)
+	routed := tc.router.C("materials")
+	seedMaterials(t, routed, 30)
+	res, err := routed.UpdateMany(document.D{"nelements": int64(1)}, document.D{"$set": document.D{"flag": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Modified == 0 || res.Modified != res.Matched {
+		t.Fatalf("update = %+v", res)
+	}
+	memberCounts := func(filter document.D) [][]int {
+		out := make([][]int, len(tc.nodes))
+		for gi, nodes := range tc.nodes {
+			for _, n := range nodes {
+				c, err := n.Store().C("materials").Count(filter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[gi] = append(out[gi], c)
+			}
+		}
+		return out
+	}
+	flagged := 0
+	for gi, counts := range memberCounts(document.D{"flag": true}) {
+		for _, c := range counts[1:] {
+			if c != counts[0] {
+				t.Errorf("group %d members disagree after update: %v", gi, counts)
+			}
+		}
+		flagged += counts[0]
+	}
+	if flagged != res.Modified {
+		t.Errorf("flagged on primaries = %d, want %d", flagged, res.Modified)
+	}
+	removed, err := tc.router.Remove("materials", document.D{"flag": true})
+	if err != nil || removed != res.Modified {
+		t.Fatalf("removed = %d (err %v), want %d", removed, err, res.Modified)
+	}
+	left := 0
+	for gi, counts := range memberCounts(nil) {
+		for _, c := range counts[1:] {
+			if c != counts[0] {
+				t.Errorf("group %d members disagree after remove: %v", gi, counts)
+			}
+		}
+		left += counts[0]
+	}
+	if left != 30-removed {
+		t.Errorf("documents left on primaries = %d, want %d", left, 30-removed)
+	}
+}
+
+// TestEnsureIndexEverywhere checks that a routed index definition lands
+// on every member of every group, and that each member plans through it.
+func TestEnsureIndexEverywhere(t *testing.T) {
+	tc := startCluster(t, 2, 1)
+	seedMaterials(t, tc.router.C("materials"), 20)
+	tc.router.EnsureIndex("materials", "nelements", "band_gap")
+	for gi, nodes := range tc.nodes {
+		for mi, n := range nodes {
+			c := n.Store().C("materials")
+			if got := c.Stats().Indexes; len(got) != 1 || got[0] != "nelements,band_gap" {
+				t.Errorf("member %d/%d indexes = %v", gi, mi, got)
+			}
+			plan, err := c.Explain(document.D{"nelements": int64(2), "band_gap": document.D{"$gte": 1.0}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan["mode"] != "index" || plan["index"] != "nelements,band_gap" {
+				t.Errorf("member %d/%d plan = %v", gi, mi, plan)
+			}
+		}
+	}
+}
+
+// TestRoutedWritesRefuseInvalidUTF8: the wire encoding writes U+FFFD in
+// place of invalid UTF-8, so the router must refuse such a write before
+// encoding it, or the nodes would store a renamed id or value.
+func TestRoutedWritesRefuseInvalidUTF8(t *testing.T) {
+	tc := startCluster(t, 2, 0)
+	routed := tc.router.C("materials")
+	if _, err := routed.Insert(document.D{"_id": "a\xff"}); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Errorf("insert: err = %v, want ErrUnsupportedValue", err)
+	}
+	if _, err := routed.InsertMany([]document.D{{"_id": "b"}, {"_id": "c", "s": "x\xc3"}}); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Errorf("insertMany: err = %v, want ErrUnsupportedValue", err)
+	}
+	if _, err := routed.Insert(document.D{"_id": "ok"}); err != nil {
+		t.Fatal(err)
+	}
+	bad := document.D{"$set": document.D{"s": "x\xc3"}}
+	if _, err := routed.UpdateMany(document.D{"_id": "ok"}, bad); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Errorf("updateMany: err = %v, want ErrUnsupportedValue", err)
+	}
+	res, err := routed.BulkWrite([]datastore.BulkOp{
+		{Op: datastore.BulkInsert, Doc: document.D{"_id": "d\xff"}},
+		{Op: datastore.BulkUpdateOne, Filter: document.D{"_id": "ok"}, Update: bad},
+	})
+	if err != nil || res.PerOp[0].Error == "" || res.PerOp[1].Error == "" || res.Inserted+res.Modified != 0 {
+		t.Errorf("bulk = %+v, %v; want both ops refused", res, err)
+	}
+	if n, _ := routed.Count(nil); n != 1 {
+		t.Errorf("%d documents stored, want only ok", n)
 	}
 }

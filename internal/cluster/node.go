@@ -1,12 +1,9 @@
-// Package cluster lifts the in-process shard.Cluster semantics onto a
-// networked topology, the deployment the paper reserves for future
-// scalability (§IV-D2): shard nodes expose datastore primitives over an
-// internal HTTP API, and a query router owns the shard map, scattering
-// reads across groups, replicating writes to group members, and promoting
-// replicas when a primary stops answering. The hash partitioning and
-// merge semantics are shared with internal/shard (see shard/partition.go),
-// so an in-process cluster and a networked one agree bit-for-bit on
-// placement and result order.
+// Package cluster is the sharded deployment the paper reserves for
+// future scalability (§IV-D2): shard nodes expose datastore primitives
+// over an internal HTTP API, and a query router owns the shard map,
+// scattering reads across groups, replicating writes to group members,
+// and promoting replicas when a primary stops answering. Hash placement
+// and the scatter-gather merge live in internal/shard (partition.go).
 package cluster
 
 import (
@@ -335,11 +332,7 @@ func (n *Node) handleEnsureIndex(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeRequest(r, &req); err != nil {
 		return err
 	}
-	if len(req.Paths) > 0 {
-		n.store.C(req.Collection).EnsureOrderedIndex(req.Paths...)
-	} else {
-		n.store.C(req.Collection).EnsureIndex(req.Path)
-	}
+	n.store.C(req.Collection).EnsureIndex(req.Paths...)
 	return writeJSON(w, wire.OKResponse{OK: true})
 }
 

@@ -407,11 +407,11 @@ func TestIndexDefsReachReadmittedReplica(t *testing.T) {
 	seedMaterials(t, routed, 12)
 
 	s1.stop()
-	r.EnsureOrderedIndex("materials", "band_gap")
+	r.EnsureIndex("materials", "band_gap")
 	if _, err := routed.Insert(document.D{"_id": "gap-0", "band_gap": 1.25}); err != nil {
 		t.Fatalf("insert during outage: %v", err)
 	}
-	if got := n1.Store().C("materials").OrderedIndexes(); len(got) != 0 {
+	if got := n1.Store().C("materials").Stats().Indexes; len(got) != 0 {
 		t.Fatalf("dead replica grew indexes: %v", got)
 	}
 
@@ -419,7 +419,7 @@ func TestIndexDefsReachReadmittedReplica(t *testing.T) {
 	if healthy := r.CheckNow(); healthy != 2 {
 		t.Fatalf("healthy after re-admission sweep = %d, want 2", healthy)
 	}
-	got := n1.Store().C("materials").OrderedIndexes()
+	got := n1.Store().C("materials").Stats().Indexes
 	if len(got) != 1 || got[0] != "band_gap" {
 		t.Fatalf("re-admitted replica indexes = %v, want [band_gap]", got)
 	}

@@ -611,21 +611,9 @@ func (r *Router) groupRead(cached bool, collection string, gi int, op string, bo
 // so all members store an identical document. The write succeeds when at
 // least one member accepts it; members that fail are marked down.
 func (r *Router) Insert(collection string, doc document.D) (string, error) {
-	d := document.NormalizeDoc(doc)
-	var gi int
-	if r.shardKey == "_id" {
-		id, has := d["_id"].(string)
-		if !has {
-			id = shard.MintID()
-			d["_id"] = id
-		}
-		gi = shard.HashShard(id, len(r.groups))
-	} else {
-		keyVal, ok := d.Get(r.shardKey)
-		if !ok {
-			return "", fmt.Errorf("cluster: document missing shard key %q", r.shardKey)
-		}
-		gi = shard.HashShard(keyVal, len(r.groups))
+	d, gi, err := r.placeDoc(doc)
+	if err != nil {
+		return "", err
 	}
 	body, err := encodeRequest(wire.PathInsert, &wire.InsertRequest{Collection: collection, Doc: d})
 	if err != nil {
@@ -651,6 +639,32 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 		id = v
 	}
 	return id, nil
+}
+
+// placeDoc normalizes a document for insertion, mints its _id at the
+// router when sharding on _id (so every member stores an identical
+// document), and returns the group its shard key hashes to. It refuses
+// what the nodes' journals could not carry unchanged (see
+// document.CheckStorable): the wire encoding would replace invalid
+// UTF-8 before a node could refuse it.
+func (r *Router) placeDoc(doc document.D) (document.D, int, error) {
+	d := document.NormalizeDoc(doc)
+	if err := document.CheckStorable(d); err != nil {
+		return nil, 0, fmt.Errorf("cluster: insert: %w", err)
+	}
+	if r.shardKey == "_id" {
+		id, has := d["_id"].(string)
+		if !has {
+			id = shard.MintID()
+			d["_id"] = id
+		}
+		return d, shard.HashShard(id, len(r.groups)), nil
+	}
+	keyVal, ok := d.Get(r.shardKey)
+	if !ok {
+		return nil, 0, fmt.Errorf("cluster: document missing shard key %q", r.shardKey)
+	}
+	return d, shard.HashShard(keyVal, len(r.groups)), nil
 }
 
 // writeOnGroup replicates one write call across a group's healthy
@@ -697,25 +711,13 @@ func (r *Router) writeOnGroup(gi int, do func(m *member) error) error {
 	return nil
 }
 
-// EnsureIndex creates the index on every member of every group (best
-// effort on unhealthy members). The write generation bumps so cached
-// plans and ETags refresh, same as EnsureOrderedIndex.
-func (r *Router) EnsureIndex(collection, path string) {
-	r.ensureIndex(collection, wire.EnsureIndexRequest{Collection: collection, Path: path})
-}
-
-// EnsureOrderedIndex creates an ordered compound index on every member of
-// every group. Like EnsureIndex it fans over all groups — index
-// definitions are cluster-wide metadata, not shard-keyed data — and the
+// EnsureIndex creates an index over the given dotted paths on every
+// member of every group (best effort on unhealthy members). Index
+// definitions are cluster-wide metadata, not shard-keyed data, and the
 // per-node journal record makes each member's copy durable. The write
 // generation bumps so cached plans (and $explain responses) refresh.
-func (r *Router) EnsureOrderedIndex(collection string, paths ...string) {
-	r.ensureIndex(collection, wire.EnsureIndexRequest{Collection: collection, Paths: paths})
-}
-
-// ensureIndex sends one index definition to every member of every group.
-func (r *Router) ensureIndex(collection string, req wire.EnsureIndexRequest) {
-	body, err := encodeRequest(wire.PathEnsureIndex, &req)
+func (r *Router) EnsureIndex(collection string, paths ...string) {
+	body, err := encodeRequest(wire.PathEnsureIndex, &wire.EnsureIndexRequest{Collection: collection, Paths: paths})
 	if err != nil {
 		return // names and paths always encode
 	}
@@ -817,6 +819,9 @@ func (r *Router) Remove(collection string, filter document.D) (int, error) {
 
 // updateMany replicates an UpdateMany across the targeted groups.
 func (r *Router) updateMany(collection string, filter, update document.D) (datastore.UpdateResult, error) {
+	if err := document.CheckStorable(update); err != nil {
+		return datastore.UpdateResult{}, fmt.Errorf("cluster: update: %w", err)
+	}
 	targets, err := r.targets(filter)
 	if err != nil {
 		return datastore.UpdateResult{}, err

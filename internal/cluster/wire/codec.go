@@ -522,14 +522,12 @@ func (r *MapReduceRequest) decode(f *fields) {
 func (r EnsureIndexRequest) AppendJSON(dst []byte) ([]byte, error) {
 	w := openObject(dst)
 	w.str("collection", r.Collection, false)
-	w.str("path", r.Path, true)
 	w.strs("paths", r.Paths, true)
 	return w.close()
 }
 
 func (r *EnsureIndexRequest) decode(f *fields) {
 	r.Collection = f.str("collection")
-	r.Path = f.str("path")
 	r.Paths = f.strs("paths")
 }
 

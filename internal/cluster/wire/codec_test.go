@@ -219,7 +219,7 @@ func checkRoundTrip(t *testing.T, d document.D) {
 		&AggregateRequest{Collection: "m"},
 		&DistinctRequest{Collection: "m", Path: "a.b", Filter: d},
 		&MapReduceRequest{Collection: "m", Job: "j", Filter: d},
-		&EnsureIndexRequest{Collection: "m", Path: "p", Paths: keys},
+		&EnsureIndexRequest{Collection: "m", Paths: keys},
 		&EnsureIndexRequest{Collection: "m", Paths: []string{}},
 		&ExplainRequest{Collection: "m", Filter: d, Opts: opts},
 	}

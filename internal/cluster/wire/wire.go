@@ -383,12 +383,10 @@ type MapReduceRequest struct {
 	Filter     document.D `json:"filter,omitempty"`
 }
 
-// EnsureIndexRequest creates a secondary index on a node. Path creates
-// a single-path hash index; Paths (when non-empty) creates an ordered
-// compound index over the given dotted paths instead.
+// EnsureIndexRequest creates a secondary index over the given dotted
+// paths on a node (one path: a single-field index; several: compound).
 type EnsureIndexRequest struct {
 	Collection string   `json:"collection"`
-	Path       string   `json:"path,omitempty"`
 	Paths      []string `json:"paths,omitempty"`
 }
 

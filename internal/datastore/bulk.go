@@ -104,7 +104,7 @@ func (c *Collection) BulkWrite(ops []BulkOp) (BulkResult, error) {
 			for _, id := range c.scanLocked(co.flt) {
 				r.Matched++
 				cur := c.docs[id]
-				next, err := applyUpdate(co.upd, cur)
+				next, err := c.applyUpdate(co.upd, cur)
 				if err != nil {
 					r.Error = err.Error()
 					break
@@ -152,7 +152,7 @@ func (c *Collection) compileBulkOp(op BulkOp) bulkCompiled {
 	switch op.Op {
 	case BulkInsert:
 		d := document.NormalizeDoc(op.Doc)
-		if err := document.CheckFinite(d); err != nil {
+		if err := c.storable(d); err != nil {
 			co.err = err
 			return co
 		}

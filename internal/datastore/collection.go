@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"matproj/internal/document"
 	"matproj/internal/query"
@@ -61,10 +62,9 @@ type Collection struct {
 	// they are compacted away, so a removal costs amortized O(1) and a
 	// scan stays linear in the live count.
 	order   []orderSlot
-	pos     map[string]int // id -> its slot in order (rises with insertion)
-	dead    int            // dead slots in order
-	indexes map[string]*index
-	ordered map[string]*orderedIndex // canonical name -> sorted compound index
+	pos     map[string]int           // id -> its slot in order (rises with insertion)
+	dead    int                      // dead slots in order
+	ordered map[string]*orderedIndex // index name -> secondary index
 	bytes   int
 
 	// gen is the collection's write generation: it takes a fresh value
@@ -81,7 +81,6 @@ func newCollection(name string, store *Store) *Collection {
 		store:   store,
 		docs:    make(map[string]document.D),
 		pos:     make(map[string]int),
-		indexes: make(map[string]*index),
 		ordered: make(map[string]*orderedIndex),
 	}
 	c.gen.Store(genCounter.Add(1))
@@ -106,36 +105,36 @@ func (c *Collection) Name() string { return c.name }
 type CollStats struct {
 	Documents int
 	Bytes     int
-	Indexes   []string
-	// Ordered lists the canonical names of sorted compound indexes.
-	Ordered []string
+	// Indexes lists the secondary index names (comma-joined component
+	// paths), sorted.
+	Indexes []string
 }
 
 // Stats reports size and index information.
 func (c *Collection) Stats() CollStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	idx := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		idx = append(idx, p)
+	return CollStats{Documents: len(c.docs), Bytes: c.bytes, Indexes: c.indexNamesLocked()}
+}
+
+// storable refuses a document the journal could not carry unchanged
+// (see document.CheckStorable), and any document for a collection whose
+// name is not valid UTF-8. Every write path runs it before applying.
+func (c *Collection) storable(d document.D) error {
+	if !utf8.ValidString(c.name) {
+		return fmt.Errorf("%w: invalid UTF-8 in collection name %q", document.ErrUnsupportedValue, c.name)
 	}
-	sort.Strings(idx)
-	ord := make([]string, 0, len(c.ordered))
-	for n := range c.ordered {
-		ord = append(ord, n)
-	}
-	sort.Strings(ord)
-	return CollStats{Documents: len(c.docs), Bytes: c.bytes, Indexes: idx, Ordered: ord}
+	return document.CheckStorable(d)
 }
 
 // Insert stores a document. If it has no "_id", one is assigned; the
 // (possibly new) id is returned. The stored document is a normalized
-// copy: the caller's document is never aliased. A document holding NaN
-// or ±Inf is refused (it has no JSON form to journal).
+// copy: the caller's document is never aliased. A document holding NaN,
+// ±Inf or invalid UTF-8 is refused (see storable).
 func (c *Collection) Insert(doc document.D) (string, error) {
 	start := time.Now()
 	d := document.NormalizeDoc(doc)
-	if err := document.CheckFinite(d); err != nil {
+	if err := c.storable(d); err != nil {
 		return "", err
 	}
 	id, hasID := d["_id"].(string)
@@ -175,7 +174,7 @@ func (c *Collection) InsertMany(docs []document.D) ([]string, error) {
 	seen := make(map[string]struct{}, len(docs))
 	for i, doc := range docs {
 		d := document.NormalizeDoc(doc)
-		if err := document.CheckFinite(d); err != nil {
+		if err := c.storable(d); err != nil {
 			return nil, err
 		}
 		id, hasID := d["_id"].(string)
@@ -220,9 +219,6 @@ func (c *Collection) insertLocked(id string, d document.D) {
 	c.pos[id] = len(c.order)
 	c.order = append(c.order, orderSlot{id: id})
 	c.bytes += document.ApproxSize(d)
-	for _, idx := range c.indexes {
-		idx.add(id, d)
-	}
 	for _, ox := range c.ordered {
 		ox.add(id, d)
 	}
@@ -240,9 +236,6 @@ func (c *Collection) removeLocked(id string) {
 	delete(c.pos, id)
 	if c.dead++; c.dead > len(c.order)/2 {
 		c.compactOrderLocked()
-	}
-	for _, idx := range c.indexes {
-		idx.remove(id, d)
 	}
 	for _, ox := range c.ordered {
 		ox.remove(id, d)
@@ -274,10 +267,6 @@ func (c *Collection) compactOrderLocked() {
 // replaceLocked swaps the stored document for id, maintaining indexes.
 func (c *Collection) replaceLocked(id string, newDoc document.D) {
 	old := c.docs[id]
-	for _, idx := range c.indexes {
-		idx.remove(id, old)
-		idx.add(id, newDoc)
-	}
 	for _, ox := range c.ordered {
 		ox.remove(id, old)
 		ox.add(id, newDoc)
@@ -299,12 +288,11 @@ type FindOpts struct {
 	// on the primary. Local (non-routed) reads ignore it — a single
 	// store is never stale relative to itself.
 	MaxStaleness int
-	// Hint forces the query planner to use the named index (a hash
-	// index's path or an ordered index's comma-joined component paths)
-	// when that index is usable for the filter at all. Routed reads
-	// forward the hint to every shard, so the whole scatter runs the
-	// same plan regardless of per-shard statistics. Unknown or unusable
-	// hints are ignored.
+	// Hint forces the query planner to use the named index (its
+	// comma-joined component paths) when that index is usable for the
+	// filter at all. Routed reads forward the hint to every shard, so the
+	// whole scatter runs the same plan regardless of per-shard
+	// statistics. Unknown or unusable hints are ignored.
 	Hint string
 }
 
@@ -407,6 +395,36 @@ func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
 	return &Cursor{docs: results}, nil
 }
 
+// Cursor iterates a result snapshot. Cursors are not safe for concurrent
+// use; each goroutine should obtain its own.
+type Cursor struct {
+	docs []document.D
+	pos  int
+}
+
+// Next returns the next document, or nil when exhausted.
+func (cur *Cursor) Next() document.D {
+	if cur.pos >= len(cur.docs) {
+		return nil
+	}
+	d := cur.docs[cur.pos]
+	cur.pos++
+	return d
+}
+
+// All drains the cursor from the current position.
+func (cur *Cursor) All() []document.D {
+	out := cur.docs[cur.pos:]
+	cur.pos = len(cur.docs)
+	return out
+}
+
+// Len reports the total number of documents in the cursor's snapshot.
+func (cur *Cursor) Len() int { return len(cur.docs) }
+
+// Rewind resets the cursor to the beginning of its snapshot.
+func (cur *Cursor) Rewind() { cur.pos = 0 }
+
 // FindAll is Find followed by draining the cursor.
 func (c *Collection) FindAll(filter document.D, opts *FindOpts) ([]document.D, error) {
 	cur, err := c.Find(filter, opts)
@@ -461,9 +479,10 @@ func (c *Collection) Count(filter document.D) (int, error) {
 
 // Distinct returns the distinct values at a dotted path among matching
 // documents. Array values contribute their elements. The result is sorted
-// by document.Compare order. Deduplication keys a map on canonicalKey, so
-// int64/float64 values that are numerically equal collapse (3 and 3.0 are
-// one value), matching index-bucket semantics.
+// by document.Compare order. Deduplication keys a map on the index key
+// encoding (keyenc.go), so int64/float64 values that are numerically
+// equal collapse (3 and 3.0 are one value), matching index-bucket
+// semantics.
 func (c *Collection) Distinct(path string, filter document.D) ([]any, error) {
 	start := time.Now()
 	flt, err := query.Compile(filter)
@@ -473,12 +492,13 @@ func (c *Collection) Distinct(path string, filter document.D) ([]any, error) {
 	c.mu.RLock()
 	seen := make(map[string]struct{}, 16)
 	vals := make([]any, 0, 16)
+	var key []byte
 	add := func(v any) {
-		k := canonicalKey(v)
-		if _, dup := seen[k]; dup {
+		key = encodeKey(key[:0], v)
+		if _, dup := seen[string(key)]; dup {
 			return
 		}
-		seen[k] = struct{}{}
+		seen[string(key)] = struct{}{}
 		vals = append(vals, v)
 	}
 	for _, id := range c.scanLocked(flt) {
@@ -501,15 +521,14 @@ func (c *Collection) Distinct(path string, filter document.D) ([]any, error) {
 }
 
 // applyUpdate runs a compiled update on a copy of cur (stored documents
-// are copy-on-write) and refuses a result holding NaN or ±Inf, before it
-// is applied: such a document has no JSON form, so it could be neither
-// journaled nor served.
-func applyUpdate(upd *query.Update, cur document.D) (document.D, error) {
+// are copy-on-write) and refuses a result the journal could not carry
+// unchanged (see storable), before it is applied.
+func (c *Collection) applyUpdate(upd *query.Update, cur document.D) (document.D, error) {
 	next, err := upd.Apply(cur.Copy())
 	if err != nil {
 		return nil, err
 	}
-	if err := document.CheckFinite(next); err != nil {
+	if err := c.storable(next); err != nil {
 		return nil, err
 	}
 	return next, nil
@@ -548,7 +567,7 @@ func (c *Collection) update(filter, update document.D, many bool) (UpdateResult,
 	for _, id := range c.scanLocked(flt) {
 		res.Matched++
 		cur := c.docs[id]
-		next, err := applyUpdate(upd, cur)
+		next, err := c.applyUpdate(upd, cur)
 		if err != nil {
 			opErr = err
 			break
@@ -596,7 +615,7 @@ func (c *Collection) Upsert(filter, update document.D) (string, error) {
 	ids := c.scanLocked(flt)
 	if len(ids) > 0 {
 		id := ids[0]
-		next, err := applyUpdate(upd, c.docs[id])
+		next, err := c.applyUpdate(upd, c.docs[id])
 		if err != nil {
 			c.mu.Unlock()
 			return "", err
@@ -621,7 +640,7 @@ func (c *Collection) Upsert(filter, update document.D) (string, error) {
 			return "", err
 		}
 	}
-	next, err := applyUpdate(upd, seed)
+	next, err := c.applyUpdate(upd, seed)
 	if err != nil {
 		c.mu.Unlock()
 		return "", err
@@ -680,7 +699,7 @@ func (c *Collection) FindAndModify(filter, update document.D, sortSpec []string,
 		}
 	}
 	before := c.docs[best].Copy()
-	next, err := applyUpdate(upd, c.docs[best])
+	next, err := c.applyUpdate(upd, c.docs[best])
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err

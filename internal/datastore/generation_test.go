@@ -139,7 +139,7 @@ func TestCountDistinctProfiled(t *testing.T) {
 	}
 }
 
-// TestDistinctUnifiesNumericTypes pins the canonicalKey dedupe semantics:
+// TestDistinctUnifiesNumericTypes pins the index-key dedupe semantics:
 // an int64 and a float64 that are numerically equal are one distinct
 // value (they were under the old document.Equal scan too — the map-keyed
 // dedupe must not change that).

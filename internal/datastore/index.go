@@ -1,332 +1,292 @@
 package datastore
 
 import (
-	"fmt"
-	"math"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"matproj/internal/document"
-	"matproj/internal/query"
 )
 
-// index is a secondary index over one dotted path. It maintains both a
-// hash map (value key -> ids) for equality/contains lookups and a sorted
-// key list for range scans. Array values are multikey: each element is
-// indexed, matching MongoDB.
-type index struct {
-	path string
-	// buckets maps a canonical key string to the set of doc ids holding
-	// that value (or containing it, for arrays).
-	buckets map[string]*bucket
-	// sorted holds bucket keys in document.Compare order of their sample
-	// values, rebuilt lazily for range scans. The lazy rebuild happens
-	// under the collection's *shared* lock, so concurrent readers
-	// serialize on sortMu (writers hold the exclusive lock and never
-	// race it).
+// orderedIndex is the collection's secondary index, over one path or
+// several (a compound index). Each document contributes one key per
+// combination of its component values (arrays are multikey: every
+// element plus the whole array, so both element equality and
+// whole-array comparisons hit the index; a missing path indexes as null,
+// matching both {path: null} filters and sort order, where missing sorts
+// with null). Keys are order-preserving encodings (keyenc.go), so the
+// sorted key list is the index order, a range scan is a contiguous slice
+// of it, and an equality lookup is one map probe.
+//
+// The sorted key list is rebuilt lazily: mutations (under the
+// collection's exclusive lock) just mark it dirty; the first range scan
+// afterwards re-sorts under sortMu. sortMu is a leaf mutex taken only
+// by readers holding the collection's shared lock — writers never race
+// the rebuild because they hold the exclusive lock.
+type orderedIndex struct {
+	name  string
+	paths []string
+	// entries maps an encoded composite key to the ids holding it.
+	entries map[string]*oBucket
+	// nids counts id entries across all buckets (for cost estimates).
+	nids int
+	// multikey is set once any document contributes more than one key
+	// (i.e. an array appeared on a component path). A multikey index
+	// can emit a document at several positions, so it can accelerate
+	// lookups but never satisfy a sort. Sticky: never unset.
+	multikey bool
+
 	sortMu sync.Mutex
 	sorted []string
 	dirty  bool
-	// multikey is set once an array value is indexed and never cleared
-	// (writers hold the collection's exclusive lock; readers its shared
-	// lock). A multikey path makes two-sided ranges unsound as a single
-	// sorted interval — see rangeLookup.
-	multikey bool
 }
 
-type bucket struct {
-	value any
-	ids   map[string]struct{}
+type oBucket struct {
+	ids map[string]struct{}
 }
 
-// canonicalKey renders an indexable value to a map key. Numbers collapse
-// across int64/float64 exactly when they are numerically equal: 3 and 3.0
-// share a bucket, but integers beyond float64's exact range (|x| > 2^53)
-// keep their own buckets rather than collapsing through a lossy float64
-// conversion.
-func canonicalKey(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return "z:null"
-	case bool:
-		return fmt.Sprintf("b:%v", x)
-	case int64:
-		return "i:" + strconv.FormatInt(x, 10)
-	case float64:
-		// Integral floats exactly representable as int64 use the integer
-		// form so they collapse with their int64 equals; everything else
-		// (fractions, huge magnitudes, ±Inf, NaN) keys on the float form.
-		if x == math.Trunc(x) && x >= -9.223372036854775808e18 && x < 9.223372036854775808e18 {
-			return "i:" + strconv.FormatInt(int64(x), 10)
-		}
-		return fmt.Sprintf("n:%g", x)
-	case string:
-		return "s:" + x
-	default:
-		// Documents/arrays index by their JSON form.
-		b, err := document.D{"v": v}.ToJSON()
-		if err != nil {
-			return fmt.Sprintf("x:%v", v)
-		}
-		return "j:" + string(b)
+// orderedIndexName is the canonical name for an ordered index over the
+// given component paths.
+func orderedIndexName(paths []string) string {
+	return strings.Join(paths, ",")
+}
+
+func newOrderedIndex(paths []string) *orderedIndex {
+	cp := make([]string, len(paths))
+	copy(cp, paths)
+	return &orderedIndex{
+		name:    orderedIndexName(cp),
+		paths:   cp,
+		entries: make(map[string]*oBucket),
 	}
 }
 
-func newIndex(path string) *index {
-	return &index{path: path, buckets: make(map[string]*bucket)}
-}
-
-// keysFor lists the index keys a document contributes for this path.
-func (ix *index) keysFor(d document.D) []any {
-	v, ok := d.Get(ix.path)
-	if !ok {
-		return nil
-	}
-	if arr, isArr := v.([]any); isArr {
-		// Elements for multikey lookups, plus the whole array so an
-		// equality filter on the full array value also hits the index
-		// (without this, {path: [1,2]} planned through the index found
-		// nothing even when documents matched).
-		ix.multikey = true
-		out := make([]any, 0, len(arr)+1)
-		out = append(out, arr...)
-		out = append(out, v)
-		return out
-	}
-	return []any{v}
-}
-
-func (ix *index) add(id string, d document.D) {
-	for _, v := range ix.keysFor(d) {
-		k := canonicalKey(v)
-		b, ok := ix.buckets[k]
+// keysFor returns the (deduplicated) composite keys a document
+// contributes, and whether it contributed in a multikey way.
+func (ox *orderedIndex) keysFor(d document.D) ([]string, bool) {
+	multi := false
+	parts := make([][]string, len(ox.paths))
+	for i, p := range ox.paths {
+		v, ok := d.Get(p)
 		if !ok {
-			b = &bucket{value: v, ids: make(map[string]struct{})}
-			ix.buckets[k] = b
-			ix.dirty = true
+			parts[i] = []string{encodeKeyString(nil)}
+			continue
 		}
-		b.ids[id] = struct{}{}
+		if arr, isArr := v.([]any); isArr {
+			multi = true
+			alts := make([]string, 0, len(arr)+1)
+			for _, el := range arr {
+				alts = append(alts, encodeKeyString(el))
+			}
+			alts = append(alts, encodeKeyString(arr))
+			parts[i] = dedupeSortedStrings(alts)
+			continue
+		}
+		parts[i] = []string{encodeKeyString(v)}
 	}
-}
-
-func (ix *index) remove(id string, d document.D) {
-	for _, v := range ix.keysFor(d) {
-		k := canonicalKey(v)
-		if b, ok := ix.buckets[k]; ok {
-			delete(b.ids, id)
-			if len(b.ids) == 0 {
-				delete(ix.buckets, k)
-				ix.dirty = true
+	keys := []string{""}
+	for _, alts := range parts {
+		if len(alts) == 1 {
+			for j := range keys {
+				keys[j] += alts[0]
+			}
+			continue
+		}
+		next := make([]string, 0, len(keys)*len(alts))
+		for _, k := range keys {
+			for _, a := range alts {
+				next = append(next, k+a)
 			}
 		}
+		keys = next
 	}
+	if len(keys) > 1 {
+		keys = dedupeSortedStrings(keys)
+	}
+	return keys, multi
 }
 
-// lookup returns ids of documents whose indexed path equals (or, for
-// multikey, contains) v.
-func (ix *index) lookup(v any) map[string]struct{} {
-	b, ok := ix.buckets[canonicalKey(v)]
-	if !ok {
-		return nil
-	}
-	return b.ids
-}
-
-// rangeLookup returns ids whose indexed value lies within the constraint
-// bounds.
-func (ix *index) rangeLookup(rc query.RangeConstraint) map[string]struct{} {
-	ix.sortMu.Lock()
-	if ix.dirty {
-		ix.sorted = ix.sorted[:0]
-		for k := range ix.buckets {
-			ix.sorted = append(ix.sorted, k)
+func dedupeSortedStrings(in []string) []string {
+	sort.Strings(in)
+	out := in[:0]
+	for i, s := range in {
+		if i > 0 && s == in[i-1] {
+			continue
 		}
-		sort.Slice(ix.sorted, func(i, j int) bool {
-			return document.Compare(ix.buckets[ix.sorted[i]].value, ix.buckets[ix.sorted[j]].value) < 0
-		})
-		ix.dirty = false
-	}
-	sorted := ix.sorted
-	ix.sortMu.Unlock()
-	// On a multikey path a two-sided range cannot be applied bucket-wise:
-	// cmpPred tests each array element independently, so one element may
-	// satisfy the min bound while another satisfies the max — yet no
-	// single bucket value satisfies both. Apply only the min bound there
-	// (a superset; callers re-verify against the full filter).
-	useMax := rc.HasMax && !(ix.multikey && rc.HasMin)
-	out := make(map[string]struct{})
-	for _, k := range sorted {
-		b := ix.buckets[k]
-		if rc.HasMin {
-			c := document.Compare(b.value, rc.Min)
-			if c < 0 || (c == 0 && rc.MinOpen) {
-				continue
-			}
-		}
-		if useMax {
-			c := document.Compare(b.value, rc.Max)
-			if c > 0 || (c == 0 && rc.MaxOpen) {
-				break
-			}
-		}
-		for id := range b.ids {
-			out[id] = struct{}{}
-		}
+		out = append(out, s)
 	}
 	return out
 }
 
-// EnsureIndex creates a secondary index on a dotted path, backfilling from
-// existing documents. Creating an existing index is a no-op. The
-// definition is journaled so durable stores rebuild it on replay and
-// replicas receive it through the log.
-func (c *Collection) EnsureIndex(path string) {
-	if path == "" || path == "_id" {
-		return // _id is always the primary key
+// add indexes a document. Caller holds the collection lock exclusively.
+func (ox *orderedIndex) add(id string, d document.D) {
+	keys, multi := ox.keysFor(d)
+	if multi {
+		ox.multikey = true
 	}
-	var p pendingCommit
-	c.mu.Lock()
-	if c.ensureHashLocked(path) {
-		p = c.stageLocked(journalIndex, path, hashIndexDefDoc(path))
+	for _, k := range keys {
+		b, ok := ox.entries[k]
+		if !ok {
+			b = &oBucket{ids: make(map[string]struct{})}
+			ox.entries[k] = b
+			ox.dirty = true
+		}
+		if _, dup := b.ids[id]; !dup {
+			b.ids[id] = struct{}{}
+			ox.nids++
+		}
 	}
-	c.mu.Unlock()
-	_ = p.commit()
 }
 
-// ensureHashLocked creates a hash index without journaling (shared by
+// remove unindexes a document. Caller holds the collection lock
+// exclusively. The multikey flag stays set: sort-satisfaction must hold
+// for the index's whole history, not just its current contents.
+func (ox *orderedIndex) remove(id string, d document.D) {
+	keys, _ := ox.keysFor(d)
+	for _, k := range keys {
+		b, ok := ox.entries[k]
+		if !ok {
+			continue
+		}
+		if _, had := b.ids[id]; !had {
+			continue
+		}
+		delete(b.ids, id)
+		ox.nids--
+		if len(b.ids) == 0 {
+			delete(ox.entries, k)
+			ox.dirty = true
+		}
+	}
+}
+
+// sortedKeys returns the encoded keys in byte (= document.Compare)
+// order, rebuilding lazily after mutations. Callers hold the
+// collection's read lock; concurrent readers serialize on sortMu.
+// Callers must not mutate the returned slice.
+func (ox *orderedIndex) sortedKeys() []string {
+	ox.sortMu.Lock()
+	defer ox.sortMu.Unlock()
+	if ox.dirty {
+		keys := make([]string, 0, len(ox.entries))
+		for k := range ox.entries {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		ox.sorted = keys
+		ox.dirty = false
+	}
+	return ox.sorted
+}
+
+// keyRange locates the half-open position range [lo, hi) of keys
+// between the encoded bounds. hiPrefix, when non-empty, extends the
+// range to also include keys carrying that byte prefix (an inclusive
+// upper bound on a component: the component's encoding is a prefix of
+// every key that continues past it).
+func (ox *orderedIndex) keyRange(keys []string, lo, hi, hiPrefix string) (int, int) {
+	start := sort.SearchStrings(keys, lo)
+	var end int
+	if hiPrefix != "" {
+		// First key past the inclusive-prefix region: the prefix with a
+		// terminator-sized bump covers every continuation.
+		end = sort.SearchStrings(keys, hiPrefix+string(byte(keyTagEnd)))
+	} else {
+		end = sort.SearchStrings(keys, hi)
+	}
+	if end < start {
+		end = start
+	}
+	return start, end
+}
+
+// EnsureIndex creates (and backfills) a secondary index over the given
+// dotted paths: one path makes a single-field index, several a compound
+// one. Creating an index that already exists is a no-op, as is an index
+// on "_id" alone (the primary key) or on an empty or invalid-UTF-8 path.
+// The definition is journaled, so durable stores rebuild it on replay
+// and replicas receive it through the log.
+func (c *Collection) EnsureIndex(paths ...string) {
+	if len(paths) == 0 || (len(paths) == 1 && paths[0] == "_id") || !utf8.ValidString(c.name) {
+		return
+	}
+	for _, p := range paths {
+		if p == "" || !utf8.ValidString(p) {
+			return
+		}
+	}
+	var pc pendingCommit
+	c.mu.Lock()
+	if c.ensureIndexLocked(paths) {
+		pc = c.stageLocked(journalIndex, orderedIndexName(paths), indexDefDoc(paths))
+	}
+	c.mu.Unlock()
+	_ = pc.commit()
+}
+
+// ensureIndexLocked creates the index without journaling (shared by
 // EnsureIndex and journal/replication replay). Returns whether a new
 // index was created.
-func (c *Collection) ensureHashLocked(path string) bool {
-	if _, ok := c.indexes[path]; ok {
+func (c *Collection) ensureIndexLocked(paths []string) bool {
+	name := orderedIndexName(paths)
+	if _, ok := c.ordered[name]; ok {
 		return false
 	}
-	ix := newIndex(path)
+	ox := newOrderedIndex(paths)
 	for id, d := range c.docs {
-		ix.add(id, d)
+		ox.add(id, d)
 	}
-	c.indexes[path] = ix
+	c.ordered[name] = ox
+	// Index creation changes query plans (and $explain output), so it
+	// invalidates generation-keyed result caches like any write.
 	c.bumpGenLocked()
 	return true
 }
 
-// DropIndex removes a secondary index.
-func (c *Collection) DropIndex(path string) {
-	var p pendingCommit
+// DropIndex removes a secondary index by its name (the comma-joined
+// component paths).
+func (c *Collection) DropIndex(name string) {
+	var pc pendingCommit
 	c.mu.Lock()
-	if _, had := c.indexes[path]; had {
-		delete(c.indexes, path)
+	if _, had := c.ordered[name]; had {
+		delete(c.ordered, name)
 		c.bumpGenLocked()
-		p = c.stageLocked(journalIndexDrop, path, hashIndexDefDoc(path))
+		pc = c.stageLocked(journalIndexDrop, name, document.D{"ordered": true, "name": name})
 	}
 	c.mu.Unlock()
-	_ = p.commit()
+	_ = pc.commit()
 }
 
-// scanLocked evaluates a compiled filter and returns matching ids in
-// insertion order. The caller must hold at least a read lock.
-//
-// Planning: _id equality resolves directly; otherwise planQueryLocked
-// (planner.go) estimates a cardinality for every usable index — hash
-// equality/contains buckets, ordered key ranges — and the cheapest
-// access path's candidates are verified against the full filter. With
-// no usable index the whole collection is scanned.
-func (c *Collection) scanLocked(flt *query.Filter) []string {
-	if ids, handled := c.idLookupLocked(flt); handled {
-		c.notePlan(&queryPlan{mode: "id", estimate: len(ids), ndocs: len(c.docs)})
-		return ids
-	}
-	plan := c.planQueryLocked(flt, nil, nil)
-	c.notePlan(plan)
-	return c.execPlanLocked(flt, plan, 0)
-}
-
-// idLookupLocked resolves an _id-pinned filter directly against the
-// primary key map. The second return reports whether the filter was
-// handled (an _id equality on a string value, present or not).
-func (c *Collection) idLookupLocked(flt *query.Filter) ([]string, bool) {
-	if flt == nil {
-		return nil, false
-	}
-	idv, ok := flt.EqualityFields()["_id"]
-	if !ok {
-		return nil, false
-	}
-	id, isStr := idv.(string)
-	if !isStr {
-		return nil, false
-	}
-	if d, exists := c.docs[id]; exists && flt.Matches(d) {
-		return []string{id}, true
-	}
-	return nil, true
-}
-
-// execPlanLocked runs a chosen plan, returning matching ids in insertion
-// order. maxMatches > 0 stops after that many matches — valid whenever
-// the caller wants an insertion-order prefix (no-sort limit pushdown).
-func (c *Collection) execPlanLocked(flt *query.Filter, plan *queryPlan, maxMatches int) []string {
-	var out []string
-	if plan.mode != "index" || plan.access == nil {
-		for _, slot := range c.order {
-			if slot.dead {
-				continue
-			}
-			if id := slot.id; flt.Matches(c.docs[id]) {
-				out = append(out, id)
-				if maxMatches > 0 && len(out) >= maxMatches {
-					break
-				}
-			}
-		}
-		return out
-	}
-	candidates := c.candidateIDsLocked(plan.access)
-	// Verify only the candidates, restoring insertion order via the
-	// per-id order positions (cheaper than walking the whole order
-	// slice when the index is selective).
-	ids := make([]string, 0, len(candidates))
-	for id := range candidates {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return c.pos[ids[i]] < c.pos[ids[j]] })
-	for _, id := range ids {
-		if flt.Matches(c.docs[id]) {
-			out = append(out, id)
-			if maxMatches > 0 && len(out) >= maxMatches {
-				break
-			}
-		}
+// IndexPaths returns the component paths of every secondary index,
+// ordered by index name.
+func (c *Collection) IndexPaths() [][]string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	names := c.indexNamesLocked()
+	out := make([][]string, len(names))
+	for i, n := range names {
+		out[i] = append([]string(nil), c.ordered[n].paths...)
 	}
 	return out
 }
 
-// Cursor iterates a result snapshot. Cursors are not safe for concurrent
-// use; each goroutine should obtain its own.
-type Cursor struct {
-	docs []document.D
-	pos  int
-}
-
-// Next returns the next document, or nil when exhausted.
-func (cur *Cursor) Next() document.D {
-	if cur.pos >= len(cur.docs) {
-		return nil
+// indexNamesLocked returns the index names, sorted. Caller holds c.mu.
+func (c *Collection) indexNamesLocked() []string {
+	out := make([]string, 0, len(c.ordered))
+	for n := range c.ordered {
+		out = append(out, n)
 	}
-	d := cur.docs[cur.pos]
-	cur.pos++
-	return d
-}
-
-// All drains the cursor from the current position.
-func (cur *Cursor) All() []document.D {
-	out := cur.docs[cur.pos:]
-	cur.pos = len(cur.docs)
+	sort.Strings(out)
 	return out
 }
 
-// Len reports the total number of documents in the cursor's snapshot.
-func (cur *Cursor) Len() int { return len(cur.docs) }
-
-// Rewind resets the cursor to the beginning of its snapshot.
-func (cur *Cursor) Rewind() { cur.pos = 0 }
+// indexDefDoc renders an index definition as a journal payload
+// document.
+func indexDefDoc(paths []string) document.D {
+	ps := make([]any, len(paths))
+	for i, p := range paths {
+		ps[i] = p
+	}
+	return document.D{"ordered": true, "paths": ps}
+}

@@ -8,10 +8,10 @@ import (
 	"matproj/internal/document"
 )
 
-// Index-definition durability: ordered and hash index definitions are
-// journal records ("x"/"X" ops), so they must survive replay, snapshot
-// compaction, torn journal tails, and replication catch-up exactly like
-// documents do.
+// Index-definition durability: compound and single-field index
+// definitions are journal records ("x"/"X" ops), so they must survive
+// replay, snapshot compaction, torn journal tails, and replication
+// catch-up exactly like documents do.
 
 func seedIndexedStore(t *testing.T, dir string) {
 	t.Helper()
@@ -26,9 +26,9 @@ func seedIndexedStore(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
-	s.C("m").EnsureOrderedIndex("a", "b")
-	s.C("m").EnsureOrderedIndex("gone")
-	s.C("m").DropOrderedIndex("gone")
+	s.C("m").EnsureIndex("a", "b")
+	s.C("m").EnsureIndex("gone")
+	s.C("m").DropIndex("gone")
 	s.C("m").EnsureIndex("s")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -41,9 +41,9 @@ func seedIndexedStore(t *testing.T, dir string) {
 func assertIndexedStore(t *testing.T, s *Store) {
 	t.Helper()
 	c := s.C("m")
-	names := c.OrderedIndexes()
-	if len(names) != 1 || names[0] != "a,b" {
-		t.Fatalf("ordered indexes after recovery: %v, want [a,b]", names)
+	names := c.Stats().Indexes
+	if len(names) != 2 || names[0] != "a,b" || names[1] != "s" {
+		t.Fatalf("indexes after recovery: %v, want [a,b s]", names)
 	}
 	plan, err := c.Explain(document.D{"a": int64(2), "b": document.D{"$gte": int64(0)}}, nil)
 	if err != nil {
@@ -63,11 +63,11 @@ func assertIndexedStore(t *testing.T, s *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan["mode"] != "index" || plan["index_kind"] != "hash" {
-		t.Fatalf("recovered hash index not planned: %v", plan)
+	if plan["mode"] != "index" || plan["index_kind"] != "ordered" {
+		t.Fatalf("recovered single-field index not planned: %v", plan)
 	}
 	if n, _ := c.Count(document.D{"s": "a"}); n != 3 {
-		t.Fatalf("hash-indexed count after recovery: %d, want 3", n)
+		t.Fatalf("single-field-indexed count after recovery: %d, want 3", n)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestTornIndexCreateLeavesPriorIndexesIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.C("m").EnsureOrderedIndex("b")
+	s.C("m").EnsureIndex("b")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTornIndexCreateLeavesPriorIndexesIntact(t *testing.T) {
 		t.Fatalf("torn tail not reported: %+v", s2.Recovery())
 	}
 	// The torn create is gone; everything before it is intact.
-	for _, name := range s2.C("m").OrderedIndexes() {
+	for _, name := range s2.C("m").Stats().Indexes {
 		if name == "b" {
 			t.Fatal("torn index-create record survived replay")
 		}
@@ -201,11 +201,11 @@ func TestReplSnapshotCarriesIndexDefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	dst.C("stale").EnsureOrderedIndex("junk") // must be wiped by reset
+	dst.C("stale").EnsureIndex("junk") // must be wiped by reset
 	if err := dst.ReplReset(snap, head); err != nil {
 		t.Fatal(err)
 	}
-	if n := dst.C("stale").OrderedIndexes(); len(n) != 0 {
+	if n := dst.C("stale").Stats().Indexes; len(n) != 0 {
 		t.Fatalf("stale indexes survived reset: %v", n)
 	}
 	assertIndexedStore(t, dst)

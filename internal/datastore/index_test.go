@@ -120,12 +120,31 @@ func TestIDFastPath(t *testing.T) {
 	}
 }
 
+// indexedFind runs filter through the named index (hinted, since on a
+// tiny collection the planner would rightly prefer a scan) after
+// checking that the plan reads that index.
+func indexedFind(t *testing.T, c *Collection, filter document.D, index string) []document.D {
+	t.Helper()
+	opts := &FindOpts{Hint: index}
+	plan, err := c.Explain(filter, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan["mode"] != "index" || plan["index"] != index || plan["index_kind"] != "ordered" {
+		t.Fatalf("%v does not read index %s: %v", filter, index, plan)
+	}
+	docs, err := c.FindAll(filter, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
+}
+
 func TestIndexCrossNumericEquality(t *testing.T) {
 	c := MustOpenMemory().C("x")
 	c.Insert(document.D{"n": int64(3)})
 	c.EnsureIndex("n")
-	got, _ := c.FindAll(document.D{"n": 3.0}, nil)
-	if len(got) != 1 {
+	if got := indexedFind(t, c, document.D{"n": 3.0}, "n"); len(got) != 1 {
 		t.Errorf("3.0 lookup found %d", len(got))
 	}
 }
@@ -137,14 +156,17 @@ func TestIndexOnMissingFieldStillFindsOthers(t *testing.T) {
 	c.EnsureIndex("a")
 	// Filter on an indexed field: index gives candidates; doc without the
 	// field must not match.
-	got, _ := c.FindAll(doc(`{"a": 1}`), nil)
-	if len(got) != 1 {
+	if got := indexedFind(t, c, doc(`{"a": 1}`), "a"); len(got) != 1 {
 		t.Errorf("got %d", len(got))
 	}
 	// Lookup of absent value returns empty candidate set, not full scan.
-	none, _ := c.FindAll(doc(`{"a": 99}`), nil)
-	if len(none) != 0 {
+	if none := indexedFind(t, c, doc(`{"a": 99}`), "a"); len(none) != 0 {
 		t.Errorf("got %d", len(none))
+	}
+	// A missing field indexes as null, so {a: null} finds it through the
+	// index.
+	if got := indexedFind(t, c, doc(`{"a": null}`), "a"); len(got) != 1 || got[0]["b"] != int64(2) {
+		t.Errorf("null lookup = %v, want the document without a", got)
 	}
 }
 
@@ -204,8 +226,8 @@ func TestQuickRangeIndexedEqualsScan(t *testing.T) {
 // one bucket and indexed equality lookups returned the wrong documents.
 func TestIndexHugeInt64KeysStayDistinct(t *testing.T) {
 	c := MustOpenMemory().C("big")
-	// Both values round to the same float64, so the old canonicalKey gave
-	// them identical bucket keys.
+	// Both values round to the same float64, so a float64-based key would
+	// give them one bucket.
 	a := int64(1<<53) + 1 // 9007199254740993, rounds to 9007199254740992
 	b := int64(1 << 53)   // 9007199254740992 exactly
 	if float64(a) != float64(b) {
@@ -219,10 +241,7 @@ func TestIndexHugeInt64KeysStayDistinct(t *testing.T) {
 		val  int64
 		want string
 	}{{a, "a"}, {b, "b"}} {
-		docs, err := c.FindAll(document.D{"v": tc.val}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		docs := indexedFind(t, c, document.D{"v": tc.val}, "v")
 		if len(docs) != 1 || docs[0]["_id"] != tc.want {
 			t.Errorf("lookup %d: got %v, want only %q", tc.val, docs, tc.want)
 		}
@@ -250,17 +269,14 @@ func TestIndexNumericCollapseOnlyWhereExact(t *testing.T) {
 	c.EnsureIndex("v")
 
 	// float64 3.0 must find the int64 3 document through the index.
-	docs, err := c.FindAll(document.D{"v": float64(3)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	docs := indexedFind(t, c, document.D{"v": float64(3)}, "v")
 	if len(docs) != 1 || docs[0]["_id"] != "int" {
 		t.Errorf("3.0 lookup = %v, want the int64 3 doc", docs)
 	}
 
 	// A huge int64 and a nearby non-equal float do not collapse.
 	c.Insert(document.D{"_id": "huge", "v": int64(1<<53) + 1})
-	docs, _ = c.FindAll(document.D{"v": float64(1 << 53)}, nil)
+	docs = indexedFind(t, c, document.D{"v": float64(1 << 53)}, "v")
 	for _, d := range docs {
 		if d["_id"] == "huge" {
 			t.Errorf("float64(2^53) matched int64(2^53+1) through the index")
@@ -270,7 +286,7 @@ func TestIndexNumericCollapseOnlyWhereExact(t *testing.T) {
 	// An integral float beyond 2^53 that IS exactly an int64 still
 	// collapses with that int64 (1<<60 is exactly representable).
 	c.Insert(document.D{"_id": "exact60", "v": int64(1 << 60)})
-	docs, _ = c.FindAll(document.D{"v": float64(1 << 60)}, nil)
+	docs = indexedFind(t, c, document.D{"v": float64(1 << 60)}, "v")
 	if len(docs) != 1 || docs[0]["_id"] != "exact60" {
 		t.Errorf("float64(2^60) lookup = %v, want the int64 2^60 doc", docs)
 	}

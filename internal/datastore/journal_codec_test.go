@@ -148,7 +148,6 @@ func dumpState(t *testing.T, s *Store) []byte {
 	type collDump struct {
 		Name    string
 		Indexes []string
-		Ordered []string
 		Docs    []json.RawMessage
 	}
 	out := struct {
@@ -160,7 +159,7 @@ func dumpState(t *testing.T, s *Store) []byte {
 	for _, n := range names {
 		c := s.C(n)
 		st := c.Stats()
-		cd := collDump{Name: n, Indexes: st.Indexes, Ordered: st.Ordered}
+		cd := collDump{Name: n, Indexes: st.Indexes}
 		docs, err := c.FindAll(nil, nil)
 		if err != nil {
 			t.Fatal(err)

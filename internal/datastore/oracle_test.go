@@ -196,10 +196,10 @@ func TestOracleScanVsIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Random index layout, plus hash indexes half the time.
+		// Random index layout, plus single-field indexes half the time.
 		layout := oracleIndexSets[g.rng.Intn(len(oracleIndexSets))]
 		for _, paths := range layout {
-			subject.EnsureOrderedIndex(paths...)
+			subject.EnsureIndex(paths...)
 		}
 		if g.rng.Intn(2) == 0 {
 			subject.EnsureIndex(oraclePaths[g.rng.Intn(4)])
@@ -207,7 +207,7 @@ func TestOracleScanVsIndex(t *testing.T) {
 		if g.rng.Intn(3) == 0 {
 			subject.EnsureIndex("tags")
 		}
-		hintable := subject.OrderedIndexes()
+		hintable := subject.Stats().Indexes
 
 		for qi := 0; qi < queriesPer; qi++ {
 			filter := g.filter()
@@ -269,8 +269,8 @@ func TestOracleSurvivesMutations(t *testing.T) {
 			subject.Insert(d.Copy())
 			truth.Insert(d)
 		}
-		subject.EnsureOrderedIndex("a", "b")
-		subject.EnsureOrderedIndex("tags")
+		subject.EnsureIndex("a", "b")
+		subject.EnsureIndex("tags")
 		subject.EnsureIndex("s")
 
 		// Random churn applied identically to both sides.

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -49,12 +48,11 @@ const (
 	journalUpdate journalOp = "u"
 	journalRemove journalOp = "r"
 	journalDrop   journalOp = "d"
-	// journalIndex / journalIndexDrop record index definitions (hash or
-	// ordered) so crash recovery and replica catch-up rebuild them. The
-	// record's ID is the index name; Doc carries the definition payload
-	// ({"path": p} for hash, {"ordered": true, "paths": [...]} for
-	// ordered). The indexed data itself is never journaled — replay
-	// re-creates the definition and backfills from the documents.
+	// journalIndex / journalIndexDrop record index definitions so crash
+	// recovery and replica catch-up rebuild them. The record's ID is the
+	// index name; Doc carries the definition payload (see indexDef). The
+	// indexed data itself is never journaled — replay re-creates the
+	// definition and backfills from the documents.
 	journalIndex     journalOp = "x"
 	journalIndexDrop journalOp = "X"
 	// journalMeta carries replication bookkeeping, not data: the first
@@ -190,45 +188,27 @@ func parseRecord(ps *document.Parser, payload []byte) (journalRecord, error) {
 	return rec, nil
 }
 
-// indexDef is the Doc payload of journalIndex / journalIndexDrop records.
+// indexDef is the Doc payload of journalIndex / journalIndexDrop
+// records. Writers emit {"ordered": true, "paths": [...]} definitions
+// and {"ordered": true, "name": n} drops. Path is read only from older
+// journals, whose single-path {"path": p} records replay as one-path
+// indexes.
 type indexDef struct {
-	Ordered bool     `json:"ordered,omitempty"`
-	Path    string   `json:"path,omitempty"`
-	Paths   []string `json:"paths,omitempty"`
-	Name    string   `json:"name,omitempty"`
+	Path  string   `json:"path,omitempty"`
+	Paths []string `json:"paths,omitempty"`
 }
 
 // indexDefRecordsLocked renders the collection's index definitions as
-// journal records (hash indexes first, then ordered, both sorted for
-// deterministic snapshots). Caller holds c.mu.
+// journal records, sorted by name for deterministic snapshots. Caller
+// holds c.mu.
 func (c *Collection) indexDefRecordsLocked() []journalRecord {
 	var out []journalRecord
-	mk := func(name string, def document.D) (journalRecord, error) {
-		b, err := def.ToJSON()
+	for _, n := range c.indexNamesLocked() {
+		b, err := indexDefDoc(c.ordered[n].paths).ToJSON()
 		if err != nil {
-			return journalRecord{}, err
+			continue
 		}
-		return journalRecord{Op: journalIndex, Collection: c.name, ID: name, Doc: b}, nil
-	}
-	hashPaths := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		hashPaths = append(hashPaths, p)
-	}
-	sort.Strings(hashPaths)
-	for _, p := range hashPaths {
-		if rec, err := mk(p, hashIndexDefDoc(p)); err == nil {
-			out = append(out, rec)
-		}
-	}
-	ordNames := make([]string, 0, len(c.ordered))
-	for n := range c.ordered {
-		ordNames = append(ordNames, n)
-	}
-	sort.Strings(ordNames)
-	for _, n := range ordNames {
-		if rec, err := mk(n, orderedIndexDefDoc(c.ordered[n].paths)); err == nil {
-			out = append(out, rec)
-		}
+		out = append(out, journalRecord{Op: journalIndex, Collection: c.name, ID: n, Doc: b})
 	}
 	return out
 }
@@ -761,26 +741,17 @@ func applyRecord(s *Store, rec journalRecord) error {
 		}
 		c.mu.Lock()
 		if rec.Op == journalIndex {
-			switch {
-			case def.Ordered && len(def.Paths) > 0:
-				c.ensureOrderedLocked(def.Paths)
-			case !def.Ordered && def.Path != "":
-				c.ensureHashLocked(def.Path)
+			paths := def.Paths
+			if len(paths) == 0 && def.Path != "" {
+				paths = []string{def.Path}
+			}
+			if len(paths) > 0 {
+				c.ensureIndexLocked(paths)
 			}
 		} else {
-			if def.Ordered {
-				name := def.Name
-				if name == "" {
-					name = rec.ID
-				}
-				delete(c.ordered, name)
-			} else {
-				p := def.Path
-				if p == "" {
-					p = rec.ID
-				}
-				delete(c.indexes, p)
-			}
+			// A drop record's id is the index name, in both the old
+			// single-path and the current definition formats.
+			delete(c.ordered, rec.ID)
 			// Every other mutation path bumps inside the lock (the
 			// *Locked helpers do it themselves); a replayed drop must
 			// too, or cached plans keep validating against the index

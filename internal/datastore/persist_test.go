@@ -283,3 +283,66 @@ func TestNonFiniteWriteRefusedAndNeverAcked(t *testing.T) {
 	defer s2.Close()
 	check(s2.C("m"), "after reopen")
 }
+
+// TestInvalidUTF8WriteRefused: the journal writes U+FFFD in place of
+// invalid UTF-8, so a restart would rename an id, key or value. Every
+// write path refuses such a document before applying it, and a write to
+// a collection whose name is invalid UTF-8 is refused too. A valid
+// non-ASCII id survives close and reopen byte for byte.
+func TestInvalidUTF8WriteRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.C("m")
+	if _, err := c.Insert(document.D{"_id": "a\xff"}); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Fatalf("insert of _id a\\xff: err = %v, want ErrUnsupportedValue", err)
+	}
+	const valid = "é mp-1"
+	if _, err := c.Insert(document.D{"_id": valid, "s": "ok"}); err != nil {
+		t.Fatal(err)
+	}
+	bad := document.D{"$set": document.D{"s": "x\xc3"}}
+	filter := document.D{"_id": valid}
+	if _, err := c.InsertMany([]document.D{{"_id": "b"}, {"_id": "c", "k\xff": int64(1)}}); err == nil {
+		t.Error("insertMany with an invalid key acknowledged")
+	}
+	if _, err := c.UpdateOne(filter, bad); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Errorf("update to an invalid string: err = %v, want ErrUnsupportedValue", err)
+	}
+	if _, err := c.Upsert(document.D{"_id": "d\xff"}, document.D{"$set": document.D{"s": "ok"}}); err == nil {
+		t.Error("upsert inserting an invalid id acknowledged")
+	}
+	if _, err := c.FindAndModify(filter, bad, nil, true); err == nil {
+		t.Error("findAndModify to an invalid string acknowledged")
+	}
+	res, err := c.BulkWrite([]BulkOp{
+		{Op: BulkUpdateOne, Filter: filter, Update: bad},
+		{Op: BulkInsert, Doc: document.D{"_id": "e\xff"}},
+	})
+	if err != nil || res.PerOp[0].Error == "" || res.PerOp[1].Error == "" || res.Modified+res.Inserted != 0 {
+		t.Errorf("bulk with invalid UTF-8 = %+v, %v; want both ops refused", res, err)
+	}
+	if _, err := s.C("bad\xff").Insert(document.D{"_id": "f"}); !errors.Is(err, document.ErrUnsupportedValue) {
+		t.Errorf("insert into collection bad\\xff: err = %v, want ErrUnsupportedValue", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n, _ := s2.C("m").Count(nil); n != 1 {
+		t.Errorf("after reopen: %d documents, want 1", n)
+	}
+	got, err := s2.C("m").FindID(valid)
+	if err != nil || got["_id"] != valid || got["s"] != "ok" {
+		t.Errorf("after reopen: FindID(%q) = %v, %v", valid, got, err)
+	}
+	if names := s2.Collections(); len(names) != 1 || names[0] != "m" {
+		t.Errorf("after reopen: collections %q, want [m]", names)
+	}
+}

@@ -10,19 +10,25 @@ package datastore
 // so the planner only has to be a superset oracle; correctness is
 // enforced by the property-based scan-vs-index oracle test.
 //
+// Every secondary index is an ordered keyenc index (index.go). An index
+// answers an equality prefix along its component paths, then one more
+// component constrained by a range, a $in list or a $all element. Each
+// $all element is its own candidate: a point region for that value
+// (contains on a multikey path is an element-key lookup).
+//
 // Cost model (deterministic, pinned by the golden Explain tests):
 //
 //	scan               len(docs)
-//	hash equality      len(bucket)           (exact)
-//	hash contains      len(bucket)           (exact)
-//	ordered full-tuple len(bucket)           (exact)
-//	ordered prefix     keysInRange × ceil(nids/entries)
-//	ordered range      keysInRange × ceil(nids/entries)
-//	ordered $in        Σ per-member region estimates
+//	whole key          len(bucket)           (exact, one map probe)
+//	prefix             keysInRange × ceil(nids/entries)
+//	range              keysInRange × ceil(nids/entries)
+//	$in                Σ per-member region estimates
 //
-// keysInRange costs two binary searches — the planner never walks a
-// candidate range to price it. The cheapest estimate wins; ties prefer
-// a sort-satisfying plan, then lexicographically smaller index names,
+// A whole key is a full-tuple equality, or a $all element on the last
+// component. keysInRange costs two binary searches — the planner never
+// walks a candidate range to price it; a region of one key is priced
+// by its bucket size. The cheapest estimate wins; ties prefer a
+// sort-satisfying plan, then lexicographically smaller index names,
 // then index over scan only when the estimate is strictly smaller (or
 // the index satisfies the sort for free).
 
@@ -37,21 +43,15 @@ import (
 
 // planAccess describes how a chosen index is read.
 type planAccess struct {
-	kind string // "hash-eq", "hash-contains", "hash-range", "ordered"
-	hash *index
-	ord  *orderedIndex
+	ord *orderedIndex
 
-	// hash access
-	hashValue any
-	// rangeIDs is the materialized id set of a hash-range fallback (the
-	// legacy full-bucket walk, consulted only when no other index
-	// applies — an ordered index on the path replaces it entirely).
-	rangeIDs map[string]struct{}
-
-	// ordered access: either point/range bounds or $in point regions.
+	// Either point/range bounds or $in point regions.
 	lo, hi   string
 	hiPrefix string   // inclusive upper bound region (encoded prefix)
 	inKeys   []string // sorted encoded prefixes, one region per $in member
+	// point marks lo as a whole key: the region is exactly lo's bucket,
+	// read by one map probe.
+	point bool
 
 	estimate int
 	bounds   string   // human-readable bound description for Explain
@@ -77,7 +77,6 @@ type queryPlan struct {
 // consideredAccess is one (index, estimate) pair the planner evaluated.
 type consideredAccess struct {
 	index    string
-	kind     string
 	estimate int
 }
 
@@ -93,10 +92,7 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 	var eq map[string]any
 	var ins []query.InConstraint
 	var ranges []query.RangeConstraint
-	var contains []struct {
-		Path  string
-		Value any
-	}
+	var contains []query.ContainsConstraint
 	if flt != nil {
 		eq = flt.EqualityFields()
 		ins = flt.InFields()
@@ -158,117 +154,51 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 	sortEligible = sortEligible && (uniformAsc || uniformDesc)
 
 	var candidates []*planAccess
-
-	// Hash indexes: equality and contains lookups (existing semantics).
-	// A nil equality value is not index-usable — documents missing the
-	// field match {path: null} but contribute no hash key.
-	hashPaths := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		hashPaths = append(hashPaths, p)
-	}
-	sort.Strings(hashPaths)
-	for _, p := range hashPaths {
-		ix := c.indexes[p]
-		if v, ok := eq[p]; ok && v != nil {
-			candidates = append(candidates, &planAccess{
-				kind: "hash-eq", hash: ix, hashValue: v,
-				estimate: len(ix.lookup(v)),
-				bounds:   fmt.Sprintf("%s = %v", p, v),
-				used:     []string{p},
-			})
-		}
-		for _, fc := range contains {
-			if fc.Path != p || fc.Value == nil {
-				continue
-			}
-			candidates = append(candidates, &planAccess{
-				kind: "hash-contains", hash: ix, hashValue: fc.Value,
-				estimate: len(ix.lookup(fc.Value)),
-				bounds:   fmt.Sprintf("%s contains %v", p, fc.Value),
-				used:     []string{p},
-			})
-		}
-	}
-
-	// Ordered indexes: equality prefix, then one range or $in component.
-	orderedNames := make([]string, 0, len(c.ordered))
-	for n := range c.ordered {
-		orderedNames = append(orderedNames, n)
-	}
-	sort.Strings(orderedNames)
-	for _, name := range orderedNames {
+	for _, name := range c.indexNamesLocked() {
 		ox := c.ordered[name]
-		if acc := c.planOrderedLocked(ox, eq, rangeFor, inFor); acc != nil {
-			candidates = append(candidates, acc)
+		if accs := c.planOrderedLocked(ox, eq, contains, rangeFor, inFor); len(accs) > 0 {
+			candidates = append(candidates, accs...)
 		} else if sortEligible && pathsEqual(sortPaths, ox.paths) && !ox.multikey {
 			// No usable constraint, but a full in-order index walk can
 			// still satisfy the sort (estimate: every document). The
 			// region spans every key: each starts with a component tag
 			// below keyTagEnd, so string(keyTagEnd) bounds them all.
 			candidates = append(candidates, &planAccess{
-				kind: "ordered", ord: ox,
-				lo: "", hi: string(byte(keyTagEnd)), estimate: ox.nids,
+				ord: ox,
+				lo:  "", hi: string(byte(keyTagEnd)), estimate: ox.nids,
 				bounds:   "full index scan",
 				sortable: true,
 			})
 		}
 	}
-	// Hash-range fallback: only when nothing else applies at all. This
-	// is the legacy behavior — materialize the ids by walking every
-	// bucket in value order — and it is exactly the walk an ordered
-	// index on the path avoids, so any other candidate suppresses it.
-	if len(candidates) == 0 {
-		for _, rc := range ranges {
-			ix, ok := c.indexes[rc.Path]
-			if !ok {
-				continue
-			}
-			ids := ix.rangeLookup(rc)
-			candidates = append(candidates, &planAccess{
-				kind: "hash-range", hash: ix, rangeIDs: ids,
-				estimate: len(ids),
-				bounds:   rangeBoundString(rc.Path, rc),
-				used:     []string{rc.Path},
-			})
-		}
-	}
 
+	// Candidates come out grouped by index name in sorted order, which
+	// keeps the considered list (and Explain) stable.
 	for _, acc := range candidates {
-		if acc.kind == "ordered" && acc.ord != nil {
-			acc.sortable = acc.sortable ||
-				(sortEligible && pathsEqual(sortPaths, acc.ord.paths) && !acc.ord.multikey)
-		}
+		acc.sortable = acc.sortable ||
+			(sortEligible && pathsEqual(sortPaths, acc.ord.paths) && !acc.ord.multikey)
+		plan.considered = append(plan.considered, consideredAccess{index: acc.ord.name, estimate: acc.estimate})
 	}
 
-	// Record everything considered (sorted by name for stable Explain).
-	for _, acc := range candidates {
-		plan.considered = append(plan.considered, consideredAccess{
-			index: accessIndexName(acc), kind: acc.kind, estimate: acc.estimate,
-		})
-	}
-	sort.Slice(plan.considered, func(i, j int) bool {
-		a, b := plan.considered[i], plan.considered[j]
-		if a.index != b.index {
-			return a.index < b.index
-		}
-		return a.kind < b.kind
-	})
-
-	// Hint: force the named index when it produced a candidate.
+	// Hint: force the named index's best candidate when it produced one.
 	if opts != nil && opts.Hint != "" {
+		var hinted *planAccess
 		for _, acc := range candidates {
-			if accessIndexName(acc) == opts.Hint {
-				c.adoptAccess(plan, acc, sortEligible, uniformDesc)
-				plan.hinted = true
-				return plan
+			if acc.ord.name == opts.Hint && (hinted == nil || betterAccess(acc, hinted)) {
+				hinted = acc
 			}
 		}
-		// An ordered hint with no constraint-derived access still forces
-		// a full index scan — same plan on every shard regardless of
-		// per-shard statistics.
+		if hinted != nil {
+			c.adoptAccess(plan, hinted, sortEligible, uniformDesc)
+			plan.hinted = true
+			return plan
+		}
+		// A hint with no constraint-derived access still forces a full
+		// index scan — same plan on every shard regardless of per-shard
+		// statistics.
 		if ox, ok := c.ordered[opts.Hint]; ok {
 			acc := &planAccess{
-				kind: "ordered", ord: ox, estimate: ox.nids,
+				ord: ox, estimate: ox.nids,
 				hi:       string(byte(keyTagEnd)), // every key sorts below the bare end tag
 				bounds:   "full index scan",
 				sortable: sortEligible && pathsEqual(sortPaths, ox.paths) && !ox.multikey,
@@ -309,7 +239,7 @@ func (c *Collection) adoptAccess(plan *queryPlan, acc *planAccess, sortEligible,
 }
 
 // betterAccess orders candidate access paths: smaller estimate first,
-// then sort-satisfying, then stable by name/kind.
+// then sort-satisfying, then by index name.
 func betterAccess(a, b *planAccess) bool {
 	if a.estimate != b.estimate {
 		return a.estimate < b.estimate
@@ -317,29 +247,20 @@ func betterAccess(a, b *planAccess) bool {
 	if a.sortable != b.sortable {
 		return a.sortable
 	}
-	an, bn := accessIndexName(a), accessIndexName(b)
-	if an != bn {
-		return an < bn
-	}
-	return a.kind < b.kind
+	return a.ord.name < b.ord.name
 }
 
-func accessIndexName(acc *planAccess) string {
-	if acc.ord != nil {
-		return acc.ord.name
-	}
-	return acc.hash.path
-}
-
-// planOrderedLocked matches an ordered index against the constraint
-// sets: consume equality constraints along the component prefix, then
+// planOrderedLocked matches an index against the constraint sets:
+// consume equality constraints along the component prefix, then
 // optionally one range or $in constraint, and translate them into
-// encoded key bounds. Returns nil when no leading component is
-// constrained.
+// encoded key bounds. Each $all element on that next component adds its
+// own candidate, a point region for the value. Returns nil when no
+// leading component is constrained.
 func (c *Collection) planOrderedLocked(ox *orderedIndex,
 	eq map[string]any,
+	contains []query.ContainsConstraint,
 	rangeFor func(string) (query.RangeConstraint, bool),
-	inFor func(string) (query.InConstraint, bool)) *planAccess {
+	inFor func(string) (query.InConstraint, bool)) []*planAccess {
 
 	var prefix []byte
 	var used []string
@@ -369,25 +290,27 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 		}
 		return (end - start) * avg
 	}
+	// keyRegion is the region of keys starting with key. When key holds
+	// every component it is a whole key: the region is its one bucket.
+	keyRegion := func(key string, whole bool, bounds string, used []string) *planAccess {
+		acc := &planAccess{ord: ox, lo: key, hi: key, hiPrefix: key, point: whole, bounds: bounds, used: used}
+		switch b := ox.entries[key]; {
+		case !whole:
+			acc.estimate = regionEstimate(key, key, key)
+		case b != nil:
+			acc.estimate = len(b.ids)
+		}
+		return acc
+	}
 
 	// Full-tuple equality: a single bucket probe.
 	if eqCols == len(ox.paths) {
-		key := string(prefix)
-		est := 0
-		if b, ok := ox.entries[key]; ok {
-			est = len(b.ids)
-		}
-		return &planAccess{
-			kind: "ordered", ord: ox,
-			lo: key, hi: key, hiPrefix: key,
-			estimate: est,
-			bounds:   strings.Join(boundParts, ", "),
-			used:     used,
-			sortable: false, // set by the caller from the sort spec
-		}
+		return []*planAccess{keyRegion(string(prefix), true, strings.Join(boundParts, ", "), used)}
 	}
 
 	next := ox.paths[eqCols]
+	nextUsed := append(used[:len(used):len(used)], next)
+	var out []*planAccess
 
 	// $in on the next component: one point region per member. Regions
 	// are sorted and deduplicated, so concatenating them preserves
@@ -402,86 +325,98 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 		for _, r := range regions {
 			est += regionEstimate(r, r, r)
 		}
-		return &planAccess{
-			kind: "ordered", ord: ox,
+		out = append(out, &planAccess{
+			ord:      ox,
 			inKeys:   regions,
 			estimate: est,
 			bounds:   appendBound(boundParts, fmt.Sprintf("%s in (%d values)", next, len(ic.Values))),
-			used:     append(used, next),
-		}
+			used:     nextUsed,
+		})
+	} else if acc := rangeAccess(ox, prefix, boundParts, next, nextUsed, rangeFor, regionEstimate); acc != nil {
+		out = append(out, acc)
+	} else if eqCols > 0 {
+		// Equality-only prefix (shorter than the tuple): a prefix region.
+		out = append(out, keyRegion(string(prefix), false, strings.Join(boundParts, ", "), used))
 	}
 
-	// Range on the next component. The bounds are clamped to the bound
-	// value's type class, mirroring cmpPred's same-class rule; document
-	// and fallback-class bounds are skipped because Compare's "other"
-	// rank is not contiguous with the document rank.
-	if rc, ok := rangeFor(next); ok {
-		classOK := func(v any) bool {
-			switch keyTagOf(v) {
-			case keyTagNull, keyTagNumber, keyTagString, keyTagBool, keyTagArray:
-				return true
-			}
-			return false
+	// $all elements on the next component, one candidate each. A
+	// matching document holds the value itself or an array with an
+	// element equal to it, and both are keys of the value's region.
+	whole := eqCols+1 == len(ox.paths)
+	for _, fc := range contains {
+		if fc.Path != next {
+			continue
 		}
-		// On a multikey index a two-sided range is unsound as one
-		// contiguous region: cmpPred is per-element, so one array element
-		// may satisfy the min bound while a different element satisfies
-		// the max. Degrade to the min bound alone — still a superset
-		// (the matching element's key lies past lo), and the residual
-		// filter re-verifies every candidate.
-		rc := rc
-		if ox.multikey && rc.HasMin && rc.HasMax {
-			rc.HasMax = false
-			rc.MaxOpen = false
-			rc.Max = nil
-		}
-		usable := (!rc.HasMin || classOK(rc.Min)) && (!rc.HasMax || classOK(rc.Max))
-		if usable && (rc.HasMin || rc.HasMax) {
-			classOf := func(v any) byte { return keyTagOf(v) }
-			var class byte
-			if rc.HasMin {
-				class = classOf(rc.Min)
-			} else {
-				class = classOf(rc.Max)
-			}
-			lo := string(prefix) + string(class)
-			if rc.HasMin {
-				lo = string(encodeKey(append([]byte{}, prefix...), rc.Min))
-				if rc.MinOpen {
-					// Bump past every key whose component equals Min.
-					lo += string(byte(keyTagEnd))
-				}
-			}
-			hi := string(prefix) + string(class+1)
-			hiPrefix := ""
-			if rc.HasMax {
-				hi = string(encodeKey(append([]byte{}, prefix...), rc.Max))
-				if !rc.MaxOpen {
-					hiPrefix = hi
-				}
-			}
-			return &planAccess{
-				kind: "ordered", ord: ox,
-				lo: lo, hi: hi, hiPrefix: hiPrefix,
-				estimate: regionEstimate(lo, hi, hiPrefix),
-				bounds:   appendBound(boundParts, rangeBoundString(next, rc)),
-				used:     append(used, next),
-			}
-		}
+		key := string(encodeKey(append([]byte{}, prefix...), fc.Value))
+		out = append(out, keyRegion(key, whole, appendBound(boundParts, fmt.Sprintf("%s contains %v", next, fc.Value)), nextUsed))
 	}
+	return out
+}
 
-	// Equality-only prefix (shorter than the tuple): a prefix region.
-	if eqCols > 0 {
-		key := string(prefix)
-		return &planAccess{
-			kind: "ordered", ord: ox,
-			lo: key, hi: key, hiPrefix: key,
-			estimate: regionEstimate(key, key, key),
-			bounds:   strings.Join(boundParts, ", "),
-			used:     used,
+// rangeAccess plans a range constraint on component next after the
+// encoded equality prefix, or returns nil when there is none it can
+// use. The bounds are clamped to the bound value's type class,
+// mirroring cmpPred's same-class rule; document and fallback-class
+// bounds are skipped because Compare's "other" rank is not contiguous
+// with the document rank.
+func rangeAccess(ox *orderedIndex, prefix []byte, boundParts []string, next string, used []string,
+	rangeFor func(string) (query.RangeConstraint, bool),
+	regionEstimate func(lo, hi, hiPrefix string) int) *planAccess {
+	rc, ok := rangeFor(next)
+	if !ok {
+		return nil
+	}
+	classOK := func(v any) bool {
+		switch keyTagOf(v) {
+		case keyTagNull, keyTagNumber, keyTagString, keyTagBool, keyTagArray:
+			return true
+		}
+		return false
+	}
+	// On a multikey index a two-sided range is unsound as one
+	// contiguous region: cmpPred is per-element, so one array element
+	// may satisfy the min bound while a different element satisfies
+	// the max. Degrade to the min bound alone — still a superset
+	// (the matching element's key lies past lo), and the residual
+	// filter re-verifies every candidate.
+	if ox.multikey && rc.HasMin && rc.HasMax {
+		rc.HasMax = false
+		rc.MaxOpen = false
+		rc.Max = nil
+	}
+	usable := (!rc.HasMin || classOK(rc.Min)) && (!rc.HasMax || classOK(rc.Max))
+	if !usable || !(rc.HasMin || rc.HasMax) {
+		return nil
+	}
+	var class byte
+	if rc.HasMin {
+		class = keyTagOf(rc.Min)
+	} else {
+		class = keyTagOf(rc.Max)
+	}
+	lo := string(prefix) + string(class)
+	if rc.HasMin {
+		lo = string(encodeKey(append([]byte{}, prefix...), rc.Min))
+		if rc.MinOpen {
+			// Bump past every key whose component equals Min.
+			lo += string(byte(keyTagEnd))
 		}
 	}
-	return nil
+	hi := string(prefix) + string(class+1)
+	hiPrefix := ""
+	if rc.HasMax {
+		hi = string(encodeKey(append([]byte{}, prefix...), rc.Max))
+		if !rc.MaxOpen {
+			hiPrefix = hi
+		}
+	}
+	return &planAccess{
+		ord: ox,
+		lo:  lo, hi: hi, hiPrefix: hiPrefix,
+		estimate: regionEstimate(lo, hi, hiPrefix),
+		bounds:   appendBound(boundParts, rangeBoundString(next, rc)),
+		used:     used,
+	}
 }
 
 func appendBound(parts []string, last string) string {
@@ -525,42 +460,118 @@ func pathsEqual(a, b []string) bool {
 	return true
 }
 
-// candidateIDsLocked materializes the (unverified, deduplicated)
-// candidate id set for an index access path. Caller holds c.mu.
-func (c *Collection) candidateIDsLocked(acc *planAccess) map[string]struct{} {
-	switch acc.kind {
-	case "hash-eq", "hash-contains":
-		ids := acc.hash.lookup(acc.hashValue)
-		if ids == nil {
-			return map[string]struct{}{}
-		}
+// scanLocked evaluates a compiled filter and returns matching ids in
+// insertion order. The caller must hold at least a read lock.
+//
+// Planning: _id equality resolves directly; otherwise planQueryLocked
+// estimates a cardinality for every usable index region and the
+// cheapest access path's candidates are verified against the full
+// filter. With no usable index the whole collection is scanned.
+func (c *Collection) scanLocked(flt *query.Filter) []string {
+	if ids, handled := c.idLookupLocked(flt); handled {
+		c.notePlan(&queryPlan{mode: "id", estimate: len(ids), ndocs: len(c.docs)})
 		return ids
-	case "hash-range":
-		if acc.rangeIDs == nil {
-			return map[string]struct{}{}
-		}
-		return acc.rangeIDs
-	case "ordered":
-		out := make(map[string]struct{})
-		collect := func(lo, hi, hiPrefix string) {
-			keys := acc.ord.sortedKeys()
-			start, end := acc.ord.keyRange(keys, lo, hi, hiPrefix)
-			for _, k := range keys[start:end] {
-				for id := range acc.ord.entries[k].ids {
-					out[id] = struct{}{}
+	}
+	plan := c.planQueryLocked(flt, nil, nil)
+	c.notePlan(plan)
+	return c.execPlanLocked(flt, plan, 0)
+}
+
+// idLookupLocked resolves an _id-pinned filter directly against the
+// primary key map. The second return reports whether the filter was
+// handled (an _id equality on a string value, present or not).
+func (c *Collection) idLookupLocked(flt *query.Filter) ([]string, bool) {
+	if flt == nil {
+		return nil, false
+	}
+	idv, ok := flt.EqualityFields()["_id"]
+	if !ok {
+		return nil, false
+	}
+	id, isStr := idv.(string)
+	if !isStr {
+		return nil, false
+	}
+	if d, exists := c.docs[id]; exists && flt.Matches(d) {
+		return []string{id}, true
+	}
+	return nil, true
+}
+
+// execPlanLocked runs a chosen plan, returning matching ids in insertion
+// order. maxMatches > 0 stops after that many matches — valid whenever
+// the caller wants an insertion-order prefix (no-sort limit pushdown).
+func (c *Collection) execPlanLocked(flt *query.Filter, plan *queryPlan, maxMatches int) []string {
+	var out []string
+	if plan.mode != "index" || plan.access == nil {
+		for _, slot := range c.order {
+			if slot.dead {
+				continue
+			}
+			if id := slot.id; flt.Matches(c.docs[id]) {
+				out = append(out, id)
+				if maxMatches > 0 && len(out) >= maxMatches {
+					break
 				}
 			}
 		}
-		if acc.inKeys != nil {
-			for _, r := range acc.inKeys {
-				collect(r, r, r)
-			}
-			return out
-		}
-		collect(acc.lo, acc.hi, acc.hiPrefix)
 		return out
 	}
-	return map[string]struct{}{}
+	candidates := c.candidateIDsLocked(plan.access)
+	// Verify only the candidates, restoring insertion order via the
+	// per-id order positions (cheaper than walking the whole order
+	// slice when the index is selective).
+	ids := make([]string, 0, len(candidates))
+	for id := range candidates {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return c.pos[ids[i]] < c.pos[ids[j]] })
+	for _, id := range ids {
+		if flt.Matches(c.docs[id]) {
+			out = append(out, id)
+			if maxMatches > 0 && len(out) >= maxMatches {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// candidateIDsLocked materializes the (unverified, deduplicated)
+// candidate id set for an index access path. A region of one key
+// returns that bucket's own id set, which callers must not modify.
+// Caller holds c.mu.
+func (c *Collection) candidateIDsLocked(acc *planAccess) map[string]struct{} {
+	ox := acc.ord
+	if acc.point {
+		if b := ox.entries[acc.lo]; b != nil {
+			return b.ids
+		}
+		return map[string]struct{}{}
+	}
+	keys := ox.sortedKeys()
+	if acc.inKeys == nil {
+		if start, end := ox.keyRange(keys, acc.lo, acc.hi, acc.hiPrefix); end-start == 1 {
+			return ox.entries[keys[start]].ids
+		}
+	}
+	out := make(map[string]struct{})
+	collect := func(lo, hi, hiPrefix string) {
+		start, end := ox.keyRange(keys, lo, hi, hiPrefix)
+		for _, k := range keys[start:end] {
+			for id := range ox.entries[k].ids {
+				out[id] = struct{}{}
+			}
+		}
+	}
+	if acc.inKeys != nil {
+		for _, r := range acc.inKeys {
+			collect(r, r, r)
+		}
+		return out
+	}
+	collect(acc.lo, acc.hi, acc.hiPrefix)
+	return out
 }
 
 // orderedEmitLocked walks the chosen ordered-index region in index
@@ -627,8 +638,8 @@ func (c *Collection) explainDocLocked(plan *queryPlan) document.D {
 		"hinted":               plan.hinted,
 	}
 	if plan.access != nil {
-		d["index"] = accessIndexName(plan.access)
-		d["index_kind"] = accessKindLabel(plan.access.kind)
+		d["index"] = plan.access.ord.name
+		d["index_kind"] = "ordered"
 		d["bounds"] = plan.access.bounds
 		residual := residualPaths(plan)
 		rp := make([]any, len(residual))
@@ -641,19 +652,12 @@ func (c *Collection) explainDocLocked(plan *queryPlan) document.D {
 	for _, ca := range plan.considered {
 		considered = append(considered, document.D{
 			"index":    ca.index,
-			"kind":     accessKindLabel(ca.kind),
+			"kind":     "ordered",
 			"estimate": int64(ca.estimate),
 		})
 	}
 	d["considered"] = considered
 	return d
-}
-
-func accessKindLabel(kind string) string {
-	if kind == "ordered" {
-		return "ordered"
-	}
-	return "hash"
 }
 
 // residualPaths lists constrained paths the chosen access path does not
@@ -696,7 +700,7 @@ func (plan *queryPlan) planSummary() string {
 	case "id":
 		return "id"
 	}
-	s := "index:" + accessIndexName(plan.access)
+	s := "index:" + plan.access.ord.name
 	if plan.sortSatisfied {
 		s += "+sort"
 	}

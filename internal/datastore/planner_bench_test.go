@@ -21,7 +21,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				c := MustOpenMemory().C("bench")
 				if indexed {
-					c.EnsureOrderedIndex("value")
+					c.EnsureIndex("value")
 				}
 				rng := rand.New(rand.NewSource(int64(n)))
 				for i := 0; i < n; i++ {
@@ -46,5 +46,37 @@ func BenchmarkRangeQuery(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkIndexPointLookup measures an indexed equality lookup through
+// Find over 10k documents, at high cardinality (every value unique: one
+// match) and low cardinality (10 values: a tenth of the collection
+// matches). Lookups rotate over the values.
+func BenchmarkIndexPointLookup(b *testing.B) {
+	const n = 10000
+	for _, card := range []struct {
+		name   string
+		values int
+	}{{"high", n}, {"low", 10}} {
+		b.Run("cardinality="+card.name, func(b *testing.B) {
+			c := MustOpenMemory().C("bench")
+			c.EnsureIndex("key")
+			for i := 0; i < n; i++ {
+				if _, err := c.Insert(document.D{"_id": fmt.Sprintf("b%06d", i), "key": int64(i % card.values)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				docs, err := c.FindAll(document.D{"key": int64(i % card.values)}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(docs) != n/card.values {
+					b.Fatalf("lookup found %d docs, want %d", len(docs), n/card.values)
+				}
+			}
+		})
 	}
 }

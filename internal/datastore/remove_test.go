@@ -24,7 +24,7 @@ func scanIDs(t *testing.T, c *Collection, filter document.D) []string {
 
 // TestRemoveKeepsScanOrder mixes every removal path (Remove, RemoveID,
 // bulk delete, replayed removes) with inserts and re-inserts of removed
-// ids, and checks that full scans, hash-index and ordered-index plans all
+// ids, and checks that full scans and index equality and range plans all
 // return documents in insertion order, before and after a reopen.
 func TestRemoveKeepsScanOrder(t *testing.T) {
 	dir := t.TempDir()
@@ -34,7 +34,7 @@ func TestRemoveKeepsScanOrder(t *testing.T) {
 	}
 	c := s.C("m")
 	c.EnsureIndex("k")
-	c.EnsureOrderedIndex("v")
+	c.EnsureIndex("v")
 	var model []string // live ids in insertion order
 	insert := func(id string, i int) {
 		t.Helper()
@@ -54,7 +54,7 @@ func TestRemoveKeepsScanOrder(t *testing.T) {
 		if got := scanIDs(t, c, nil); !slices.Equal(got, model) {
 			t.Fatalf("%s: scan order\n got  %v\n want %v", stage, got, model)
 		}
-		// One hash-index plan and one ordered-index plan.
+		// One index equality plan and one index range plan.
 		for _, q := range []struct {
 			filter document.D
 			match  func(document.D) bool

@@ -2,10 +2,11 @@
 // center of the Materials Project architecture (the role MongoDB plays in
 // the paper). A Store holds named Collections of JSON-like documents and
 // supports Mongo-style queries, atomic updates, find-and-modify (the
-// primitive the workflow engine uses to claim jobs), secondary indexes
-// (hash and ordered, multikey over arrays), cursors, distinct, a built-in
-// single-threaded MapReduce (mimicking MongoDB's JavaScript engine), and
-// optional durability via an append-only journal plus snapshots.
+// primitive the workflow engine uses to claim jobs), sorted secondary
+// indexes (single-field or compound, multikey over arrays), cursors,
+// distinct, a built-in single-threaded MapReduce (mimicking MongoDB's
+// JavaScript engine), and optional durability via an append-only journal
+// plus snapshots.
 //
 // The same deployment simultaneously serves as (a) workflow state manager,
 // (b) analytics store, and (c) web back-end — the paper's first
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"matproj/internal/obs"
 )
@@ -194,6 +196,11 @@ func (s *Store) DropCollection(name string) {
 	s.mu.Lock()
 	delete(s.collections, name)
 	s.mu.Unlock()
+	if !utf8.ValidString(name) {
+		// Writes under such a name are refused, so the log holds nothing
+		// to drop; a journaled drop would replay under a U+FFFD name.
+		return
+	}
 	if j := s.journal.Load(); j != nil {
 		j.logDrop(name)
 		return

@@ -638,19 +638,22 @@ func hex4(d []byte, i int) rune {
 	return r
 }
 
-// CheckFinite returns an error naming a NaN or ±Inf inside d. Such
-// numbers have no JSON form, so a store that journals its documents
-// refuses them before applying a write.
-func CheckFinite(d D) error {
-	if path, bad := nonFinite(map[string]any(d)); bad {
-		return fmt.Errorf("%w: non-finite number at %q", ErrUnsupportedValue, path)
+// CheckStorable returns an error naming a value inside d that JSON
+// cannot carry unchanged: a NaN or ±Inf (no JSON form at all), or a key
+// or string holding invalid UTF-8 (AppendJSON writes U+FFFD in its
+// place, so a journaled document would come back renamed). A store that
+// journals its documents refuses them before applying a write.
+func CheckStorable(d D) error {
+	if path, what := unstorable(map[string]any(d)); what != "" {
+		return fmt.Errorf("%w: %s at %q", ErrUnsupportedValue, what, path)
 	}
 	return nil
 }
 
-// nonFinite walks v; the dotted path is only built on the way back up
-// from a hit, so a clean document costs no allocation.
-func nonFinite(v any) (string, bool) {
+// unstorable walks v and names the first unstorable value it finds; the
+// dotted path is only built on the way back up from a hit, so a clean
+// document costs no allocation.
+func unstorable(v any) (path, what string) {
 	under := func(seg, rest string) string {
 		if rest == "" {
 			return seg
@@ -659,21 +662,30 @@ func nonFinite(v any) (string, bool) {
 	}
 	switch x := v.(type) {
 	case float64:
-		return "", math.IsInf(x, 0) || math.IsNaN(x)
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return "", "non-finite number"
+		}
+	case string:
+		if !utf8.ValidString(x) {
+			return "", "invalid UTF-8"
+		}
 	case map[string]any:
 		for k, c := range x {
-			if p, bad := nonFinite(c); bad {
-				return under(k, p), true
+			if !utf8.ValidString(k) {
+				return k, "invalid UTF-8 in key"
+			}
+			if p, w := unstorable(c); w != "" {
+				return under(k, p), w
 			}
 		}
 	case D:
-		return nonFinite(map[string]any(x))
+		return unstorable(map[string]any(x))
 	case []any:
 		for i, c := range x {
-			if p, bad := nonFinite(c); bad {
-				return under(strconv.Itoa(i), p), true
+			if p, w := unstorable(c); w != "" {
+				return under(strconv.Itoa(i), p), w
 			}
 		}
 	}
-	return "", false
+	return "", ""
 }

@@ -136,13 +136,32 @@ func TestParseJSONNormalizesAndRejectsTrailingData(t *testing.T) {
 }
 
 func TestCheckFinite(t *testing.T) {
-	if err := CheckFinite(MustFromJSON(corpusDoc)); err != nil {
+	if err := CheckStorable(MustFromJSON(corpusDoc)); err != nil {
 		t.Fatalf("corpus document: %v", err)
 	}
 	d := D{"a": map[string]any{"b": []any{1.0, math.Inf(1)}}}
-	err := CheckFinite(d)
+	err := CheckStorable(d)
 	if !errors.Is(err, ErrUnsupportedValue) || !strings.Contains(err.Error(), `"a.b.1"`) {
-		t.Fatalf("CheckFinite = %v, want ErrUnsupportedValue naming a.b.1", err)
+		t.Fatalf("CheckStorable = %v, want ErrUnsupportedValue naming a.b.1", err)
+	}
+}
+
+func TestCheckStorableRefusesInvalidUTF8(t *testing.T) {
+	for _, tc := range []struct {
+		doc  D
+		path string
+	}{
+		{D{"_id": "a\xff"}, `"_id"`},
+		{D{"a": map[string]any{"b": []any{"ok", "x\xc3"}}}, `"a.b.1"`},
+		{D{"a": map[string]any{"k\xff": 1.0}}, `"a.k\xff"`},
+	} {
+		err := CheckStorable(tc.doc)
+		if !errors.Is(err, ErrUnsupportedValue) || !strings.Contains(err.Error(), "UTF-8") || !strings.Contains(err.Error(), tc.path) {
+			t.Errorf("CheckStorable(%q) = %v, want ErrUnsupportedValue naming %s", tc.doc, err, tc.path)
+		}
+	}
+	if err := CheckStorable(D{"é": "ü", "s": "\u2028"}); err != nil {
+		t.Errorf("valid UTF-8 refused: %v", err)
 	}
 }
 

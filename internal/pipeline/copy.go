@@ -14,7 +14,7 @@ import (
 // it), as does any local-store wrapper.
 type CollectionInserter interface {
 	Insert(collection string, doc document.D) (string, error)
-	EnsureIndex(collection, path string)
+	EnsureIndex(collection string, paths ...string)
 }
 
 // CopyCollections streams collections from a built deployment store into
@@ -22,7 +22,8 @@ type CollectionInserter interface {
 // corpus locally (the workflow tier is process-local), then fan the
 // collections out to the shard nodes through the router. Indexes are
 // recreated on the destination before the rows land so inserts maintain
-// them incrementally. With no names given, every collection is copied.
+// them incrementally; every index definition is copied, single-field and
+// compound alike. With no names given, every collection is copied.
 // Returns the number of documents copied.
 func CopyCollections(dst CollectionInserter, src *datastore.Store, collections ...string) (int, error) {
 	if len(collections) == 0 {
@@ -32,8 +33,8 @@ func CopyCollections(dst CollectionInserter, src *datastore.Store, collections .
 	total := 0
 	for _, name := range collections {
 		c := src.C(name)
-		for _, path := range c.Stats().Indexes {
-			dst.EnsureIndex(name, path)
+		for _, paths := range c.IndexPaths() {
+			dst.EnsureIndex(name, paths...)
 		}
 		docs, err := c.FindAll(nil, nil)
 		if err != nil {

@@ -107,22 +107,20 @@ func (f *Filter) EqualityFields() map[string]any {
 	return out
 }
 
-// ContainsFields returns dotted paths that must contain given values
-// (from $all), one entry per required value.
-func (f *Filter) ContainsFields() []struct {
+// ContainsConstraint describes one $all element: the field must equal
+// Value or, for an array, hold an element equal to it.
+type ContainsConstraint struct {
 	Path  string
 	Value any
-} {
-	var out []struct {
-		Path  string
-		Value any
-	}
+}
+
+// ContainsFields returns dotted paths that must contain given values
+// (from $all), one entry per required value.
+func (f *Filter) ContainsFields() []ContainsConstraint {
+	var out []ContainsConstraint
 	for _, c := range f.fields {
 		if c.Kind == ConstraintContains {
-			out = append(out, struct {
-				Path  string
-				Value any
-			}{c.Path, c.Value})
+			out = append(out, ContainsConstraint{Path: c.Path, Value: c.Value})
 		}
 	}
 	return out

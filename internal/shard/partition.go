@@ -1,3 +1,6 @@
+// Package shard holds the hash partitioning and scatter-gather merge
+// primitives behind the networked cluster router (internal/cluster), the
+// scaling path the paper reserves for future work (§IV-D2).
 package shard
 
 import (
@@ -11,20 +14,16 @@ import (
 	"matproj/internal/query"
 )
 
-// This file holds the partition/merge primitives shared by the in-process
-// Cluster and the networked router in internal/cluster: both layers must
-// agree bit-for-bit on which shard a key hashes to and on the global
-// merge-sort/skip/limit semantics of a scatter-gathered read, or a
-// deployment could not migrate from one to the other without re-sharding.
+// This file holds the partition/merge primitives of the networked router
+// in internal/cluster: which shard group a key hashes to, which groups a
+// filter must touch, and the global merge-sort/skip/limit semantics of a
+// scatter-gathered read. Placement is part of the on-disk layout of a
+// deployment, so HashShard must not change without re-sharding.
 
 // HashShard maps a shard-key value to a group index in [0, n). The hash
 // is FNV-1a over the value's canonical print form, so int64(5) and
 // float64(5) route identically.
 func HashShard(v any, n int) int {
-	return hashShard(v, n)
-}
-
-func hashShard(v any, n int) int {
 	h := fnv.New32a()
 	fmt.Fprintf(h, "%v", v)
 	return int(h.Sum32() % uint32(n))
@@ -40,7 +39,7 @@ func Targets(filter document.D, shardKey string, n int) ([]int, error) {
 			return nil, err
 		}
 		if v, ok := flt.EqualityFields()[shardKey]; ok {
-			return []int{hashShard(v, n)}, nil
+			return []int{HashShard(v, n)}, nil
 		}
 	}
 	all := make([]int, n)

@@ -104,11 +104,13 @@ curl -fsS http://127.0.0.1:19800/metrics | grep -q 'cluster_scatter_total' \
 # Routed $explain: the REST explain flag must come back as the merged
 # per-shard plan document, and with -ordered-index materials:band_gap
 # above, a band_gap range query must plan as an index read on every
-# shard (merged mode "index", not "mixed" or "scan").
+# shard (merged mode "index", not "mixed" or "scan"), through the one
+# index kind there is.
 curl -fsS -X POST -H "X-API-KEY: $KEY" -H 'Content-Type: application/json' \
     -d '{"criteria":{"band_gap":{"$gte":1.0,"$lt":3.0}},"explain":true}' \
     http://127.0.0.1:19800/rest/v1/query \
-    | jq -e '.valid_response == true and .response[0].sharded == true and .response[0].mode == "index"' >/dev/null \
+    | jq -e '.valid_response == true and .response[0].sharded == true and .response[0].mode == "index"
+        and all(.response[0].shards[]; .index_kind == "ordered")' >/dev/null \
     || { echo "check: routed \$explain did not report an index plan"; tail "$TMP/r.log"; exit 1; }
 echo "cluster smoke: routed query + metrics + \$explain OK"
 
@@ -228,4 +230,13 @@ echo "failover smoke: SLO held through kill + log-catch-up re-admission OK"
 # BENCH_ingest.json).
 "$TMP/mpbench" -exp ingest -ingest-out BENCH_ingest.json \
     || { echo "check: ingest throughput gate failed"; exit 1; }
+
+# Planner gate (artifact: BENCH_planner.json): at 100k documents the
+# indexed range read must beat the full scan by mpbench's
+# -planner-min-speedup (10x), and the indexed equality read by 5x. Both
+# are ratios from the same run.
+"$TMP/mpbench" -exp planner -planner-out BENCH_planner.json \
+    || { echo "check: planner range speedup gate failed"; exit 1; }
+jq -e '.eq_speedup_100k >= 5' BENCH_planner.json >/dev/null \
+    || { echo "check: indexed equality speedup $(jq '.eq_speedup_100k' BENCH_planner.json)x under the 5x gate"; exit 1; }
 echo "check: all green"
